@@ -2,12 +2,10 @@
 //! `results/dispatch_policy.json`, the table behind [`KernelKind::Auto`].
 //!
 //! For every (Table-2 dataset, feature dimension) sample the tuner
-//! builds and profiles all six concrete kernels on the simulator, then
-//! sweeps hybrid split thresholds with the Equation-(4) region prices
-//! ([`PerfModel::tc_region_time`] / [`PerfModel::scalar_region_time`])
-//! and profiles the most promising hybrid plan for real. The winning
-//! decision per sample is binned over (AvgL, row-length CV, feature
-//! dim) and the bins become a first-match rule table. Everything is
+//! builds and profiles all six concrete kernels on the simulator. The
+//! samples are binned over (AvgL, row-length CV, feature dim), and each
+//! bin's rule picks the kernel with the lowest within-bin geomean time.
+//! Everything is
 //! deterministic — seeded generators, a deterministic simulator, and
 //! sorted-key JSON — so CI can regenerate the artifact and fail on any
 //! byte of drift:
@@ -17,21 +15,16 @@
 //! autotune --check [--out PATH]  # rewrite only if drifted (CI gate)
 //! ```
 //!
-//! The tuner never consults the embedded policy itself (decisions come
-//! from the simulator, hybrid builds are pinned), so there is no
-//! feedback loop between the committed table and the next regeneration.
-//!
-//! [`PerfModel::tc_region_time`]: acc_spmm::balance::PerfModel::tc_region_time
-//! [`PerfModel::scalar_region_time`]: acc_spmm::balance::PerfModel::scalar_region_time
+//! The tuner builds only concrete kernels and never consults the
+//! embedded policy, so there is no feedback loop between the committed
+//! table and the next regeneration.
 
-use acc_spmm::balance::{ModelParams, PerfModel};
-use acc_spmm::format::{WindowPartition, TILE};
 use acc_spmm::kernels::ir::kind_slug;
 use acc_spmm::kernels::{PolicyRule, RuleBounds};
 use acc_spmm::matrix::{CsrMatrix, TABLE2};
 use acc_spmm::{
-    AccConfig, Arch, DispatchDecision, DispatchPolicy, ExecutionPlan, KernelKind, MatrixFeatures,
-    PreparedKernel, SimOptions,
+    AccConfig, Arch, DispatchPolicy, ExecutionPlan, KernelKind, MatrixFeatures, PreparedKernel,
+    SimOptions,
 };
 use spmm_bench::{build_dataset, f2, print_table, sim_options_for};
 use spmm_common::json::Json;
@@ -44,9 +37,6 @@ use std::process::ExitCode;
 /// bins match what the gate measures.
 const SWEEP_DIMS: [usize; 2] = [32, 128];
 
-/// Hybrid window-density cuts the Equation-(4) sweep considers.
-const THRESHOLDS: [f64; 8] = [2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0];
-
 /// Bin edges over [`MatrixFeatures::avg_l`] (half-open, last is open).
 const AVGL_EDGES: [f64; 7] = [0.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
@@ -56,37 +46,25 @@ const CV_EDGES: [f64; 3] = [0.0, 0.5, 1.0];
 /// Bin edges over the feature dimension.
 const DIM_EDGES: [f64; 2] = [1.0, 64.0];
 
-/// One (dataset, feature-dim) measurement: every candidate's simulated
+/// One (dataset, feature-dim) measurement: every kernel's simulated
 /// time plus the winner.
 struct Sample {
     dataset: String,
     features: MatrixFeatures,
     /// Simulated seconds per concrete kernel, in `KernelKind::ALL` order.
     single_s: [f64; KernelKind::ALL.len()],
-    /// The profiled hybrid candidate, if the model sweep promoted one.
-    hybrid: Option<(DispatchDecision, f64)>,
-    /// The sample's best decision and its simulated seconds.
-    best: (DispatchDecision, f64),
+    /// The sample's fastest kernel.
+    best: KernelKind,
 }
 
 impl Sample {
-    /// Simulated seconds of the fastest single kernel.
-    fn best_single_s(&self) -> f64 {
-        self.single_s.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Simulated seconds the sample would see under `decision`;
-    /// `None` when the decision was never profiled here (a hybrid with
-    /// a threshold the sweep did not promote for this sample).
-    fn time_of(&self, decision: &DispatchDecision) -> Option<f64> {
-        if let DispatchDecision::Single(k) = decision {
-            let i = KernelKind::ALL.iter().position(|c| c == k)?;
-            return Some(self.single_s[i]);
-        }
-        match &self.hybrid {
-            Some((d, s)) if d == decision => Some(*s),
-            _ => None,
-        }
+    /// Simulated seconds the sample sees under `kind`.
+    fn time_of(&self, kind: KernelKind) -> f64 {
+        let i = KernelKind::ALL
+            .iter()
+            .position(|&c| c == kind)
+            .expect("policies name concrete kernels");
+        self.single_s[i]
     }
 }
 
@@ -157,7 +135,7 @@ fn collect_samples(arch: Arch) -> Vec<Sample> {
 /// wide) over a degree-1 tail. The Table-2 analogs are all fairly
 /// uniform (row CV < 0.5), so without these the learned table would
 /// leave the entire high-variance half of feature space to the
-/// fallback — exactly the matrices hybrid splits exist for.
+/// fallback.
 fn coverage_matrices() -> Vec<(String, CsrMatrix)> {
     let mut out = Vec::new();
     for n in [512usize, 2048] {
@@ -188,120 +166,28 @@ fn coverage_matrices() -> Vec<(String, CsrMatrix)> {
 
 fn measure_sample(name: &str, m: &CsrMatrix, arch: Arch, dim: usize, opts: &SimOptions) -> Sample {
     let features = MatrixFeatures::of(m, dim);
-    let profile = |plan: ExecutionPlan| PreparedKernel::from_plan(plan).profile(arch, opts).time_s;
-
     let mut single_s = [f64::INFINITY; KernelKind::ALL.len()];
     for (i, kind) in KernelKind::ALL.into_iter().enumerate() {
         let plan = ExecutionPlan::build(kind, m, arch, dim, AccConfig::full())
             .unwrap_or_else(|e| panic!("{name}: build {kind:?} failed: {e}"));
-        single_s[i] = profile(plan);
+        single_s[i] = PreparedKernel::from_plan(plan).profile(arch, opts).time_s;
     }
     let best_i = (0..single_s.len())
         .min_by(|&a, &b| single_s[a].total_cmp(&single_s[b]))
         .expect("non-empty kernel set");
-    let mut best = (
-        DispatchDecision::Single(KernelKind::ALL[best_i]),
-        single_s[best_i],
-    );
-
-    // Candidate splits: the Equation-(4) model ranks the threshold
-    // grid, thresholds producing the same window partition collapse to
-    // one candidate, and the simulator profiles each genuinely distinct
-    // split. The model screens and orders; the profile decides.
-    let mut hybrid: Option<(DispatchDecision, f64)> = None;
-    for threshold in candidate_thresholds(m, arch, dim) {
-        let decision = DispatchDecision::Hybrid {
-            dense: KernelKind::AccSpmm,
-            sparse: KernelKind::CusparseLike,
-            threshold,
-        };
-        let plan = ExecutionPlan::build_auto_pinned(m, arch, dim, AccConfig::full(), decision)
-            .unwrap_or_else(|e| panic!("{name}: hybrid build failed: {e}"));
-        let s = profile(plan);
-        eprintln!(
-            "    {name} N={dim}: split@{threshold} -> {s:.3e} (best single {:.3e})",
-            best.1
-        );
-        if hybrid.as_ref().is_none_or(|(_, prev)| s < *prev) {
-            hybrid = Some((decision, s));
-        }
-    }
-    if let Some((decision, s)) = hybrid {
-        if s < best.1 {
-            best = (decision, s);
-        }
-    }
-
+    let best = KernelKind::ALL[best_i];
     eprintln!(
         "  {name:>12} N={dim:<3} avgl {:>6.1} cv {:>4.2} -> {}",
         features.avg_l,
         features.row_cv,
-        describe(&best.0)
+        kind_slug(best)
     );
     Sample {
         dataset: name.to_string(),
         features,
         single_s,
-        hybrid,
         best,
     }
-}
-
-/// The split thresholds worth a real plan build + profile: sweep the
-/// [`THRESHOLDS`] grid, keep only genuine splits (>= 2 regions), and
-/// collapse thresholds that classify every window identically into one
-/// candidate. The surviving candidates are ordered by their
-/// Equation-(4) region price ([`PerfModel::tc_region_time`] on the
-/// dense windows plus [`PerfModel::scalar_region_time`] on the rest)
-/// and capped at `MAX_HYBRID_PROFILES`, so a pathological matrix
-/// cannot make the sweep build eight hybrid plans.
-fn candidate_thresholds(m: &CsrMatrix, arch: Arch, dim: usize) -> Vec<f64> {
-    const MAX_HYBRID_PROFILES: usize = 3;
-    let spec = arch.spec();
-    let model = PerfModel::new(ModelParams {
-        feature_dim: dim,
-        bandwidth: spec.dram_bw_gbps * 1e9,
-        flops: spec.tc_tf32_tflops * 1e12,
-        num_sms: spec.num_sms,
-    });
-    let wp = WindowPartition::build(m);
-    let blocks = wp.blocks_per_window();
-    let row_ptr = m.row_ptr();
-    // (dense-window bitmap key, model price) per threshold.
-    let classify = |threshold: f64| {
-        let (mut key, mut tc_blocks, mut tc_windows, mut sc_nnz, mut sc_rows) =
-            (Vec::new(), 0usize, 0usize, 0usize, 0usize);
-        for w in 0..m.nrows().div_ceil(TILE) {
-            let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(m.nrows());
-            let nnz_w = row_ptr[hi] - row_ptr[lo];
-            let dense = nnz_w as f64 / (hi - lo) as f64 >= threshold;
-            key.push(dense);
-            if dense {
-                tc_blocks += blocks.get(w).copied().unwrap_or(0);
-                tc_windows += 1;
-            } else {
-                sc_nnz += nnz_w;
-                sc_rows += hi - lo;
-            }
-        }
-        let split = key.iter().any(|&d| d) && key.iter().any(|&d| !d);
-        let price =
-            model.tc_region_time(tc_blocks, tc_windows) + model.scalar_region_time(sc_nnz, sc_rows);
-        (key, split, price)
-    };
-    let mut seen: Vec<Vec<bool>> = Vec::new();
-    let mut candidates: Vec<(f64, f64)> = Vec::new(); // (threshold, price)
-    for t in THRESHOLDS {
-        let (key, split, price) = classify(t);
-        if split && !seen.contains(&key) {
-            seen.push(key);
-            candidates.push((t, price));
-        }
-    }
-    candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
-    candidates.truncate(MAX_HYBRID_PROFILES);
-    candidates.into_iter().map(|(t, _)| t).collect()
 }
 
 /// Bin the samples over (dim, AvgL, CV) and emit one first-match rule
@@ -327,7 +213,7 @@ fn learn_policy(samples: &[Sample]) -> DispatchPolicy {
 
     let mut rules = Vec::new();
     for ((dim_lo, avgl_lo, cv_lo), members) in &bins {
-        let decision = bin_decision(members);
+        let decision = global_best_single(members.iter().copied());
         let (dim_lo, avgl_lo, cv_lo) = (
             f64::from_bits(*dim_lo),
             f64::from_bits(*avgl_lo),
@@ -352,26 +238,8 @@ fn learn_policy(samples: &[Sample]) -> DispatchPolicy {
     }
 }
 
-/// A bin's decision: the members' shared hybrid when every member
-/// independently promoted the same split, otherwise the single kernel
-/// with the lowest within-bin geomean time. Hybrids demand unanimity
-/// because a rule's threshold applies to every matrix the bin will
-/// ever see — a split that only sometimes wins is not worth the risk
-/// of regressing the rest of the bin.
-fn bin_decision(members: &[&Sample]) -> DispatchDecision {
-    if let DispatchDecision::Hybrid { .. } = members[0].best.0 {
-        let d = members[0].best.0;
-        if members.iter().all(|s| s.best.0 == d) {
-            return d;
-        }
-    }
-    global_best_single(members.iter().copied())
-}
-
 /// The single kernel minimizing geomean simulated time over `samples`.
-fn global_best_single<'a>(
-    samples: impl IntoIterator<Item = &'a Sample> + Clone,
-) -> DispatchDecision {
+fn global_best_single<'a>(samples: impl IntoIterator<Item = &'a Sample> + Clone) -> KernelKind {
     let geomean_log = |i: usize| {
         samples
             .clone()
@@ -382,7 +250,7 @@ fn global_best_single<'a>(
     let best = (0..KernelKind::ALL.len())
         .min_by(|&a, &b| geomean_log(a).total_cmp(&geomean_log(b)))
         .expect("non-empty kernel set");
-    DispatchDecision::Single(KernelKind::ALL[best])
+    KernelKind::ALL[best]
 }
 
 /// Serialize the policy with its provenance block. Sorted keys and a
@@ -409,11 +277,7 @@ fn render(policy: &DispatchPolicy, samples: &[Sample], arch: Arch) -> String {
                     );
                     o.insert("avg_l".into(), Json::Num(s.features.avg_l));
                     o.insert("row_cv".into(), Json::Num(s.features.row_cv));
-                    o.insert("best".into(), s.best.0.to_json());
-                    o.insert(
-                        "speedup_vs_best_single".into(),
-                        Json::Num(s.best_single_s() / s.best.1),
-                    );
+                    o.insert("best".into(), Json::Str(kind_slug(s.best).into()));
                     Json::Obj(o)
                 })
                 .collect(),
@@ -432,17 +296,14 @@ fn report(samples: &[Sample], policy: &DispatchPolicy) {
     let mut log_sum = 0.0;
     for s in samples {
         let decided = policy.decide(&s.features);
-        // A decided hybrid we never profiled would score as its
-        // conservative bound: no better than the sample's best single.
-        let decided_s = s.time_of(&decided).unwrap_or_else(|| s.best_single_s());
-        let ratio = s.best_single_s() / decided_s;
+        let ratio = s.time_of(s.best) / s.time_of(decided);
         log_sum += ratio.ln();
         rows.push(vec![
             s.dataset.clone(),
             format!("{}", s.features.feature_dim),
             f2(s.features.avg_l),
             f2(s.features.row_cv),
-            describe(&decided),
+            kind_slug(decided).to_string(),
             f2(ratio),
         ]);
     }
@@ -456,19 +317,4 @@ fn report(samples: &[Sample], policy: &DispatchPolicy) {
         "autotune: in-sample geomean vs best single kernel: {geomean:.4} ({} rules)",
         policy.rules.len()
     );
-}
-
-fn describe(d: &DispatchDecision) -> String {
-    match d {
-        DispatchDecision::Single(k) => kind_slug(*k).to_string(),
-        DispatchDecision::Hybrid {
-            dense,
-            sparse,
-            threshold,
-        } => format!(
-            "hybrid({}|{}@{threshold})",
-            kind_slug(*dense),
-            kind_slug(*sparse)
-        ),
-    }
 }

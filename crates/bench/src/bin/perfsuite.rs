@@ -17,6 +17,7 @@
 //! suite artifacts and exits non-zero when any kernel's median wall time
 //! regressed by more than the threshold (see `scripts/bench_gate.sh`).
 
+use acc_spmm::kernels::ir::kind_slug;
 use acc_spmm::matrix::{gen, CsrMatrix, Dataset, DenseMatrix, TABLE2};
 use acc_spmm::sim::Arch;
 use acc_spmm::{
@@ -229,9 +230,10 @@ fn run_suite(cfg: &Config) -> ExitCode {
     }
     entries.extend(storm_entries);
 
-    // Hybrid-dispatch scenario ("auto-table2"): KernelKind::Auto over
+    // Adaptive-dispatch scenario ("auto-table2"): KernelKind::Auto over
     // the suite collection vs the best single kernel, on the modeled
-    // (simulator) clock, with region stitching verified bit-exact.
+    // (simulator) clock, with its output verified bit-exact against the
+    // resolved kernel.
     let (auto_entries, auto) = auto_scenario(cfg);
     for e in &auto_entries {
         rows.push(vec![
@@ -1187,16 +1189,15 @@ fn dist_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
     (entries, Json::Obj(sj))
 }
 
-/// The hybrid-dispatch scenario ("auto-table2"): for every suite
+/// The adaptive-dispatch scenario ("auto-table2"): for every suite
 /// dataset, build a [`KernelKind::Auto`] plan next to all six concrete
 /// kernels and price each on the deterministic simulator — the same
 /// clock the `autotune` policy learner used, so the gate measures the
 /// policy's actual objective. Reports the geomean of
 /// `best single kernel time / Auto time` (>= 1 means the learned
 /// dispatch never loses to the best fixed choice) and verifies the
-/// stitched Auto output is bit-identical, region by region, to a
-/// whole-matrix run of each region's kernel — the row-partition
-/// invariance the hybrid executor is built on.
+/// Auto output is bit-identical, over the whole matrix, to a direct
+/// build of the kernel it resolved to.
 fn auto_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
     use acc_spmm::{AccConfig, ExecutionPlan, SimOptions};
     let _s = spmm_trace::span("perfsuite.auto_scenario");
@@ -1230,45 +1231,22 @@ fn auto_scenario(cfg: &Config) -> (Vec<Entry>, Json) {
         }
         log_ratio_sum += (best_single_s / auto_s).ln();
 
-        // Stitch check: each region of the Auto output must equal the
-        // same rows of a whole-matrix run of that region's kernel.
+        // The Auto output must equal a direct build of the resolved
+        // kernel, bit for bit, over the whole matrix.
         let b = DenseMatrix::random(m.ncols(), cfg.dim, 0xA070);
         let got = auto.execute(&b).expect("Auto multiply");
-        let regions = auto
-            .execution_plan()
-            .regions()
-            .expect("Auto plan has regions");
-        let mut kinds: Vec<KernelKind> = Vec::new();
-        for r in regions {
-            if !kinds.contains(&r.kind) {
-                kinds.push(r.kind);
-            }
-        }
-        for kind in kinds {
-            let reference = {
-                let plan = ExecutionPlan::build(kind, &m, cfg.arch, cfg.dim, AccConfig::full())
-                    .expect("reference plan");
-                PreparedKernel::from_plan(plan)
-                    .execute(&b)
-                    .expect("reference multiply")
-            };
-            for r in regions.iter().filter(|r| r.kind == kind) {
-                for row in r.row_lo..r.row_hi {
-                    bit_identical &= got
-                        .row(row)
-                        .iter()
-                        .zip(reference.row(row))
-                        .all(|(g, w)| g.to_bits() == w.to_bits());
-                }
-            }
-        }
+        let plan = ExecutionPlan::build(auto.kind(), &m, cfg.arch, cfg.dim, AccConfig::full())
+            .expect("reference plan");
+        let reference = PreparedKernel::from_plan(plan)
+            .execute(&b)
+            .expect("reference multiply");
+        bit_identical &= got
+            .as_slice()
+            .iter()
+            .zip(reference.as_slice())
+            .all(|(g, w)| g.to_bits() == w.to_bits());
 
-        let decision = auto
-            .execution_plan()
-            .decision()
-            .map(|d| d.to_json())
-            .unwrap_or(Json::Null);
-        decisions.insert(d.abbr.to_string(), decision);
+        decisions.insert(d.abbr.to_string(), Json::Str(kind_slug(auto.kind()).into()));
         entries.push(Entry {
             dataset: d.abbr.into(),
             kernel: "Auto".into(),
@@ -1650,8 +1628,8 @@ fn gate(baseline: &str, candidate: &str, threshold: f64) -> ExitCode {
             }
         }
     }
-    // The hybrid-dispatch scenario must stay present, its stitched
-    // output bit-identical to the per-region single-kernel references,
+    // The adaptive-dispatch scenario must stay present, its output
+    // bit-identical to the resolved kernel's over the whole matrix,
     // and `KernelKind::Auto` must never lose to the best single kernel
     // on the modeled clock (geomean floor 1.0 — the acceptance bar the
     // learned policy is tuned against).
@@ -1666,7 +1644,7 @@ fn gate(baseline: &str, candidate: &str, threshold: f64) -> ExitCode {
         if cand["auto_scenario"].as_object().is_some()
             && !matches!(cand["auto_scenario"]["bit_identical"], Json::Bool(true))
         {
-            failures.push("auto_scenario: stitched results not bit-identical".into());
+            failures.push("auto_scenario: results not bit-identical".into());
         }
     }
     // The dynamic-graph scenario must stay present, its repaired plans

@@ -311,11 +311,11 @@ impl DeltaCsr {
     /// Restrict the overlay to rows `[lo, hi)`: the result's base is
     /// the corresponding row block of this base (same column space),
     /// with the pending ops of those rows shifted down by `lo`. This is
-    /// how shard-local and region-local repairs receive their slice of
-    /// a global delta stream.
+    /// how shard-local repairs receive their slice of a global delta
+    /// stream.
     pub fn sub_range(&self, lo: usize, hi: usize) -> DeltaCsr {
         assert!(lo <= hi && hi <= self.nrows(), "sub_range out of bounds");
-        let base = row_block(&self.base, lo, hi);
+        let base = self.base.row_block(lo, hi);
         let mut sub = DeltaCsr::new(base);
         for (&r, ops) in self.rows.range(lo as u32..hi as u32) {
             sub.rows.insert(r - lo as u32, ops.clone());
@@ -326,7 +326,7 @@ impl DeltaCsr {
     }
 
     /// Fingerprint of the merged rows `[lo, hi)` — identical to
-    /// `row_block(compact(), lo, hi).content_fingerprint()`, the value
+    /// `compact().row_block(lo, hi).content_fingerprint()`, the value
     /// partial invalidation compares against, without materializing the
     /// whole compacted matrix.
     pub fn block_fingerprint(&self, lo: usize, hi: usize) -> u64 {
@@ -406,22 +406,6 @@ impl Iterator for MergedRow<'_> {
             }
         }
     }
-}
-
-/// Extract rows `[lo, hi)` of `m` as a standalone CSR (same column
-/// space) — the shard/region cutter, local to avoid dependency cycles.
-fn row_block(m: &CsrMatrix, lo: usize, hi: usize) -> CsrMatrix {
-    let row_ptr = m.row_ptr();
-    let base = row_ptr[lo];
-    let rebased: Vec<usize> = row_ptr[lo..=hi].iter().map(|&p| p - base).collect();
-    CsrMatrix::new(
-        hi - lo,
-        m.ncols(),
-        rebased,
-        m.col_idx()[base..row_ptr[hi]].to_vec(),
-        m.values()[base..row_ptr[hi]].to_vec(),
-    )
-    .expect("row block of a valid CSR is valid")
 }
 
 /// Materialize merged rows `[lo, hi)` of the delta as a standalone CSR.
@@ -587,7 +571,7 @@ mod tests {
         assert_eq!(before.len(), 8);
         // Clean overlay: block fingerprints equal the base's blocks.
         for (b, &fp) in before.iter().enumerate() {
-            assert_eq!(fp, row_block(&m, b * 8, (b + 1) * 8).content_fingerprint());
+            assert_eq!(fp, m.row_block(b * 8, (b + 1) * 8).content_fingerprint());
         }
         d.upsert(17, 3, 9.0).unwrap(); // block 2
         d.upsert(18, 5, 1.0).unwrap(); // block 2
@@ -596,7 +580,9 @@ mod tests {
         let after = d.block_fingerprints(8);
         let compacted = d.compact();
         for b in 0..8 {
-            let expect = row_block(&compacted, b * 8, (b + 1) * 8).content_fingerprint();
+            let expect = compacted
+                .row_block(b * 8, (b + 1) * 8)
+                .content_fingerprint();
             assert_eq!(after[b], expect, "block {b} fingerprint matches compact");
             if b == 2 || b == 5 {
                 assert_ne!(after[b], before[b], "dirty block {b} changed");
@@ -622,7 +608,7 @@ mod tests {
         assert_eq!(sub.get(2, 2), Some(4.0), "row 10 shifted to 2");
         // The slice's compact equals the global compact's row block.
         let global = d.compact();
-        assert_eq!(sub.compact(), row_block(&global, 8, 24));
+        assert_eq!(sub.compact(), global.row_block(8, 24));
         assert_eq!(sub.nnz(), sub.compact().nnz());
     }
 }

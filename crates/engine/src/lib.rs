@@ -616,9 +616,12 @@ impl SessionBuilder<'_, '_> {
     /// through the cache under its own key, so later sessions reuse it.
     pub fn open(self) -> Result<Session> {
         let fingerprint = self.a.content_fingerprint();
+        // `Auto` resolves before the key exists, so an `Auto` session
+        // shares the cache and store entry of the kernel it picks.
+        let kind = self.kind.resolve(self.a, self.feature_dim);
         let key = PlanKey {
             fingerprint,
-            kind: self.kind,
+            kind,
             arch: self.arch,
             feature_dim: self.feature_dim,
             config: self.config,
@@ -630,14 +633,14 @@ impl SessionBuilder<'_, '_> {
                 .config(self.config)
                 .build()
         };
-        match self.engine.cache.get_or_build(key, || build(self.kind)) {
+        match self.engine.cache.get_or_build(key, || build(kind)) {
             Ok(plan) => Ok(Session {
                 engine: Arc::clone(self.engine),
                 key,
                 plan,
                 degraded: false,
             }),
-            Err(err) if self.kind.uses_tensor_cores() => {
+            Err(err) if kind.uses_tensor_cores() => {
                 // Graceful degradation: serve the request stream on the
                 // scalar CSR path instead of failing the client.
                 self.engine.metrics.bump(

@@ -510,12 +510,15 @@ fn install_writes_through_to_the_store() {
 
 #[test]
 fn auto_sessions_cache_and_persist_like_any_kernel() {
-    // `KernelKind::Auto` is a first-class cache/store key: hybrid plans
-    // single-flight through the cache, write through to the store, and
-    // a warm restart replays them bit-identically.
+    // `KernelKind::Auto` resolves before the cache key exists: an
+    // `Auto` session and an explicit session of the kernel it picks
+    // share one cache entry and one store artifact, and a warm restart
+    // replays it bit-identically.
     let dir = store_dir("auto");
     let a = graph(256, 12);
     let b = DenseMatrix::random(256, 32, 6);
+    let resolved = KernelKind::Auto.resolve(&a, 32);
+    assert_ne!(resolved, KernelKind::Auto);
 
     let cold = {
         let engine = Engine::builder()
@@ -529,10 +532,12 @@ fn auto_sessions_cache_and_persist_like_any_kernel() {
             .feature_dim(32)
             .open()
             .unwrap();
-        // Second session, same key: cache hit, no rebuild.
+        assert_eq!(s1.key().kind, resolved);
+        // Explicit session of the resolved kernel, same key: cache hit,
+        // no rebuild.
         engine
             .session(&a)
-            .kind(KernelKind::Auto)
+            .kind(resolved)
             .feature_dim(32)
             .open()
             .unwrap();
@@ -542,7 +547,7 @@ fn auto_sessions_cache_and_persist_like_any_kernel() {
         s1.multiply(&b).unwrap()
     };
 
-    // Warm restart: the hybrid plan rehydrates from the store.
+    // Warm restart: the plan rehydrates from the store.
     let engine = Engine::builder()
         .workers(1)
         .plan_store(&dir)
@@ -567,7 +572,7 @@ fn auto_sessions_cache_and_persist_like_any_kernel() {
             .iter()
             .map(|x| x.to_bits())
             .collect::<Vec<_>>(),
-        "rehydrated hybrid plan must be bit-identical"
+        "rehydrated plan must be bit-identical"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

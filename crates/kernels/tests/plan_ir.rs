@@ -179,8 +179,22 @@ fn corrupted_header_is_a_typed_rejection() {
     ));
     bytes[4] = spmm_kernels::PLAN_IR_VERSION as u8;
 
-    // JSON header body.
+    // Header kind `auto`: plans always name the concrete kernel.
     let json_start = 4 + 4 + 8;
+    let header_len = u64::from_le_bytes(bytes[8..json_start].try_into().unwrap()) as usize;
+    let header = std::str::from_utf8(&bytes[json_start..json_start + header_len]).unwrap();
+    assert!(header.contains("\"dtcspmm\""));
+    let forged_header = header.replace("\"dtcspmm\"", "\"auto\"");
+    let mut forged = bytes[..8].to_vec();
+    forged.extend_from_slice(&(forged_header.len() as u64).to_le_bytes());
+    forged.extend_from_slice(forged_header.as_bytes());
+    forged.extend_from_slice(&bytes[json_start + header_len..]);
+    assert!(matches!(
+        PlanIr::read_from(std::io::Cursor::new(&forged)).unwrap_err(),
+        SpmmError::PlanLoad(PlanLoadError::NotPlanIr { .. })
+    ));
+
+    // JSON header body.
     bytes[json_start] = b'}';
     assert!(matches!(
         PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap_err(),

@@ -254,6 +254,23 @@ impl CsrMatrix {
         self.row_ptr[r + 1] - self.row_ptr[r]
     }
 
+    /// Rows `[lo, hi)` as a standalone CSR operand over the same column
+    /// space — the shard cutter and the delta overlay's row slicer.
+    pub fn row_block(&self, lo: usize, hi: usize) -> CsrMatrix {
+        assert!(lo <= hi && hi <= self.nrows, "row block out of range");
+        let base = self.row_ptr[lo];
+        let row_ptr: Vec<usize> = self.row_ptr[lo..=hi].iter().map(|&p| p - base).collect();
+        let end = self.row_ptr[hi];
+        CsrMatrix {
+            nrows: hi - lo,
+            ncols: self.ncols,
+            row_ptr,
+            col_idx: self.col_idx[base..end].to_vec(),
+            values: self.values[base..end].to_vec(),
+            fingerprint: OnceLock::new(),
+        }
+    }
+
     /// Average non-zeros per row — the paper's `AvgL` dataset statistic.
     pub fn avg_row_len(&self) -> f64 {
         if self.nrows == 0 {
@@ -498,6 +515,23 @@ mod tests {
         let m = small();
         assert!(m.permute_rows(&[0, 0, 1]).is_err());
         assert!(m.permute_rows(&[0, 1]).is_err());
+    }
+
+    #[test]
+    fn row_block_preserves_rows() {
+        let m = crate::gen::uniform_random(64, 5.0, 4);
+        let blk = m.row_block(8, 24);
+        assert_eq!(blk.nrows(), 16);
+        assert_eq!(blk.ncols(), m.ncols());
+        assert!(blk.validate().is_ok());
+        for r in 0..16 {
+            assert_eq!(blk.row(r), m.row(8 + r), "row {r} content preserved");
+        }
+        let empty = m.row_block(16, 16);
+        assert_eq!(empty.nrows(), 0);
+        assert_eq!(empty.nnz(), 0);
+        assert_eq!(m.row_block(0, 64), m);
+        assert!(std::panic::catch_unwind(|| small().row_block(2, 4)).is_err());
     }
 
     #[test]

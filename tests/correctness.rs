@@ -203,7 +203,7 @@ fn handle_multiply_is_deterministic_and_linear() {
 fn every_kernel_profiles_an_empty_matrix_without_panicking() {
     use acc_spmm::SimOptions;
     let empty = CsrMatrix::from_coo(&CooMatrix::new(32, 32));
-    for kind in KernelKind::ALL {
+    for kind in KernelKind::ALL.into_iter().chain([KernelKind::Auto]) {
         let k = PreparedKernel::builder(kind, &empty)
             .arch(Arch::A800)
             .feature_dim(64)
