@@ -21,6 +21,6 @@ pub use scalar::{
     tf32_mma_8x8, tf32_mma_8x8_prerounded, tf32_mma_8x8_rows, to_tf32, to_tf32_slice,
 };
 pub use simd::{
-    axpy_tier, mma_8x8_prerounded_tier, mma_8x8_rows_tier, to_tf32_slice_into_tier,
+    mma_8x8_prerounded_tier, mma_8x8_rows_tier, mma_row_tier, to_tf32_slice_into_tier,
     to_tf32_slice_tier, IsaTier,
 };

@@ -116,27 +116,6 @@ pub fn round_to(x: f32, p: Precision) -> f32 {
     }
 }
 
-/// One 8×8×n MMA with operands rounded to `p`, FP32 accumulation —
-/// the precision-parameterized sibling of
-/// [`crate::scalar::tf32_mma_8x8`].
-pub fn mma_8x8_with_precision(a: &[f32; 64], b: &[f32], c: &mut [f32], n: usize, p: Precision) {
-    debug_assert_eq!(b.len(), 8 * n);
-    debug_assert_eq!(c.len(), 8 * n);
-    for i in 0..8 {
-        for k in 0..8 {
-            let av = round_to(a[i * 8 + k], p);
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[k * n..k * n + n];
-            let crow = &mut c[i * n..i * n + n];
-            for j in 0..n {
-                crow[j] += av * round_to(brow[j], p);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,21 +175,6 @@ mod tests {
             assert_eq!(round_to(x, Precision::Tf32), x);
             assert_eq!(round_to(x, Precision::Fp16), x);
         }
-    }
-
-    #[test]
-    fn mma_precision_fp32_matches_exact() {
-        let mut a = [0.0f32; 64];
-        for (i, v) in a.iter_mut().enumerate() {
-            *v = (i % 7) as f32 * 0.25;
-        }
-        let b: Vec<f32> = (0..8 * 4).map(|i| (i % 5) as f32 * 0.5).collect();
-        let mut c32 = vec![0.0f32; 8 * 4];
-        mma_8x8_with_precision(&a, &b, &mut c32, 4, Precision::Fp32);
-        let mut ctf = vec![0.0f32; 8 * 4];
-        crate::scalar::tf32_mma_8x8(&a, &b, &mut ctf, 4);
-        // These inputs are exactly representable everywhere.
-        assert_eq!(c32, ctf);
     }
 
     #[test]

@@ -379,36 +379,47 @@ pub fn mma_8x8_rows_tier(
     }
 }
 
-/// `crow[j] += v * brow[j]` over `crow.len()` lanes at an explicit tier
-/// — the per-edge accumulation of the TCF kernel. **No** `v == 0.0`
-/// skip: the scalar TCF loop multiplies unconditionally, and
-/// bit-identity means replicating exactly that (a zero edge value
-/// against a non-finite B element must produce the same NaN it always
-/// did).
+/// `crow[j] += Σ_t avs[t] * b[rows[t] * n + j]` with `n = crow.len()`
+/// (`b` is a row-major matrix of row width `n`) at an explicit tier —
+/// one C row accumulated from gathered B rows, with C held in registers
+/// across the terms. This is BitTCF's row-walk executor core and, with a
+/// single term, the TCF per-edge update. Separate mul + add (no FMA) and
+/// ascending `t` per lane, so every tier is bit-identical to the scalar
+/// loop. **No** `avs[t] == 0.0` skip: the TCF loop multiplies
+/// unconditionally, and BitTCF drops its zero terms before calling.
+///
+/// # Panics
+/// If `avs` and `rows` differ in length or a row lies outside `b`.
 #[inline]
-pub fn axpy_tier(v: f32, brow: &[f32], crow: &mut [f32], tier: IsaTier) {
+pub fn mma_row_tier(avs: &[f32], rows: &[u32], b: &[f32], crow: &mut [f32], tier: IsaTier) {
     let n = crow.len();
-    debug_assert!(brow.len() >= n);
+    assert_eq!(avs.len(), rows.len(), "one B row per term");
+    let max_row = rows.iter().copied().max().map_or(0, |r| r as usize + 1);
+    assert!(max_row * n <= b.len(), "B row out of range");
     match tier {
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx512f if tier.is_available() => {
-            // SAFETY: avx512f availability just checked; the single row
-            // pointer is valid for `n` reads via the `[..n]` slice.
-            unsafe { x86::mma_row_avx512(&[v], &[brow[..n].as_ptr()], crow) }
+            // SAFETY: avx512f availability just checked; every row lies
+            // inside `b` (asserted above), which cannot alias the
+            // exclusively borrowed `crow`.
+            unsafe { x86::mma_row_avx512(avs, rows, b.as_ptr(), crow) }
         }
         #[cfg(target_arch = "x86_64")]
         IsaTier::Avx2Fma if tier.is_available() => {
-            // SAFETY: avx2 availability just checked; pointer as above.
-            unsafe { x86::mma_row_avx2(&[v], &[brow[..n].as_ptr()], crow) }
+            // SAFETY: avx2 availability just checked; rows as above.
+            unsafe { x86::mma_row_avx2(avs, rows, b.as_ptr(), crow) }
         }
         #[cfg(target_arch = "aarch64")]
         IsaTier::Neon if tier.is_available() => {
-            // SAFETY: neon availability just checked; pointer as above.
-            unsafe { neon::mma_row_neon(&[v], &[brow[..n].as_ptr()], crow) }
+            // SAFETY: neon availability just checked; rows as above.
+            unsafe { neon::mma_row_neon(avs, rows, b.as_ptr(), crow) }
         }
         _ => {
-            for (cj, &bj) in crow.iter_mut().zip(brow.iter()) {
-                *cj += v * bj;
+            for (&av, &r) in avs.iter().zip(rows) {
+                let r = r as usize * n;
+                for (cj, &bj) in crow.iter_mut().zip(&b[r..r + n]) {
+                    *cj += av * bj;
+                }
             }
         }
     }
@@ -553,32 +564,32 @@ mod x86 {
         unsafe { tf32_round_ptr_avx512(src.as_ptr(), dst.as_mut_ptr(), n) }
     }
 
-    /// One C-row update `crow[j] += Σ_t avs[t] * rows[t][j]` (AVX2),
-    /// register-blocked over `j` so each C chunk is loaded and stored
-    /// once for the whole `k` loop. Separate `mul` + `add` — **not**
-    /// `vfmadd` — to match the scalar path's two roundings; per-lane
-    /// addition order is ascending `t` (== ascending `k`), identical to
+    /// One C-row update `crow[j] += Σ_t avs[t] * b[rows[t] * n + j]`
+    /// (AVX2, `n = crow.len()`), register-blocked over `j` so each C
+    /// chunk is loaded and stored once for the whole `t` loop. Separate
+    /// `mul` + `add` — **not** `vfmadd` — to match the scalar path's two
+    /// roundings; per-lane addition order is ascending `t`, identical to
     /// scalar.
     ///
-    /// SAFETY (caller): avx2 enabled; every `ptrs[t]` is valid for
-    /// `crow.len()` reads and does not alias `crow`.
+    /// SAFETY (caller): avx2 enabled; for every `t`, `b` is valid for
+    /// reads of `(rows[t] + 1) * crow.len()` floats, none aliasing `crow`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mma_row_avx2(avs: &[f32], ptrs: &[*const f32], crow: &mut [f32]) {
+    pub(super) unsafe fn mma_row_avx2(avs: &[f32], rows: &[u32], b: *const f32, crow: &mut [f32]) {
         let n = crow.len();
         let cp = crow.as_mut_ptr();
-        let nt = avs.len().min(ptrs.len());
         let mut j = 0;
-        // SAFETY: all offsets stay `< n`; `cp` is the only mutable
-        // pointer and the B rows are read-only for the duration.
+        // SAFETY: C offsets stay `< n` and B offsets inside row `r`,
+        // `r * n..(r + 1) * n`, valid per the caller contract; `cp` is
+        // the only mutable pointer and `b` is read-only for the duration.
         unsafe {
             // 16-lane (2×ymm) main blocks.
             while j + 16 <= n {
                 let mut c0 = _mm256_loadu_ps(cp.add(j));
                 let mut c1 = _mm256_loadu_ps(cp.add(j + 8));
-                for t in 0..nt {
-                    let av = _mm256_set1_ps(avs[t]);
-                    let b0 = _mm256_loadu_ps(ptrs[t].add(j));
-                    let b1 = _mm256_loadu_ps(ptrs[t].add(j + 8));
+                for (&a, &r) in avs.iter().zip(rows) {
+                    let av = _mm256_set1_ps(a);
+                    let b0 = _mm256_loadu_ps(b.add(r as usize * n + j));
+                    let b1 = _mm256_loadu_ps(b.add(r as usize * n + j + 8));
                     c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, b0));
                     c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, b1));
                 }
@@ -588,9 +599,9 @@ mod x86 {
             }
             while j + 8 <= n {
                 let mut c0 = _mm256_loadu_ps(cp.add(j));
-                for t in 0..nt {
-                    let av = _mm256_set1_ps(avs[t]);
-                    let b0 = _mm256_loadu_ps(ptrs[t].add(j));
+                for (&a, &r) in avs.iter().zip(rows) {
+                    let av = _mm256_set1_ps(a);
+                    let b0 = _mm256_loadu_ps(b.add(r as usize * n + j));
                     c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, b0));
                 }
                 _mm256_storeu_ps(cp.add(j), c0);
@@ -599,8 +610,8 @@ mod x86 {
             // Scalar tail, still ascending `t` per lane.
             while j < n {
                 let mut cj = *cp.add(j);
-                for t in 0..nt {
-                    cj += avs[t] * *ptrs[t].add(j);
+                for (&a, &r) in avs.iter().zip(rows) {
+                    cj += a * *b.add(r as usize * n + j);
                 }
                 *cp.add(j) = cj;
                 j += 1;
@@ -611,23 +622,26 @@ mod x86 {
     /// [`mma_row_avx2`] at 512-bit width (2×zmm = 32-lane main blocks).
     /// Same bit-identity constraints: separate mul + add, ascending `t`.
     ///
-    /// SAFETY (caller): avx512f enabled; pointer contract as in
-    /// [`mma_row_avx2`].
+    /// SAFETY (caller): avx512f enabled; contract as in [`mma_row_avx2`].
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn mma_row_avx512(avs: &[f32], ptrs: &[*const f32], crow: &mut [f32]) {
+    pub(super) unsafe fn mma_row_avx512(
+        avs: &[f32],
+        rows: &[u32],
+        b: *const f32,
+        crow: &mut [f32],
+    ) {
         let n = crow.len();
         let cp = crow.as_mut_ptr();
-        let nt = avs.len().min(ptrs.len());
         let mut j = 0;
         // SAFETY: as in mma_row_avx2.
         unsafe {
             while j + 32 <= n {
                 let mut c0 = _mm512_loadu_ps(cp.add(j));
                 let mut c1 = _mm512_loadu_ps(cp.add(j + 16));
-                for t in 0..nt {
-                    let av = _mm512_set1_ps(avs[t]);
-                    let b0 = _mm512_loadu_ps(ptrs[t].add(j));
-                    let b1 = _mm512_loadu_ps(ptrs[t].add(j + 16));
+                for (&a, &r) in avs.iter().zip(rows) {
+                    let av = _mm512_set1_ps(a);
+                    let b0 = _mm512_loadu_ps(b.add(r as usize * n + j));
+                    let b1 = _mm512_loadu_ps(b.add(r as usize * n + j + 16));
                     c0 = _mm512_add_ps(c0, _mm512_mul_ps(av, b0));
                     c1 = _mm512_add_ps(c1, _mm512_mul_ps(av, b1));
                 }
@@ -637,9 +651,9 @@ mod x86 {
             }
             while j + 16 <= n {
                 let mut c0 = _mm512_loadu_ps(cp.add(j));
-                for t in 0..nt {
-                    let av = _mm512_set1_ps(avs[t]);
-                    let b0 = _mm512_loadu_ps(ptrs[t].add(j));
+                for (&a, &r) in avs.iter().zip(rows) {
+                    let av = _mm512_set1_ps(a);
+                    let b0 = _mm512_loadu_ps(b.add(r as usize * n + j));
                     c0 = _mm512_add_ps(c0, _mm512_mul_ps(av, b0));
                 }
                 _mm512_storeu_ps(cp.add(j), c0);
@@ -647,8 +661,8 @@ mod x86 {
             }
             while j < n {
                 let mut cj = *cp.add(j);
-                for t in 0..nt {
-                    cj += avs[t] * *ptrs[t].add(j);
+                for (&a, &r) in avs.iter().zip(rows) {
+                    cj += a * *b.add(r as usize * n + j);
                 }
                 *cp.add(j) = cj;
                 j += 1;
@@ -1011,26 +1025,27 @@ mod neon {
         unsafe { tf32_round_ptr_neon(src.as_ptr(), dst.as_mut_ptr(), n) }
     }
 
-    /// One C-row update (NEON): 8-lane (2×q) main blocks, then 4, then
-    /// scalar tail. Separate mul + add, ascending `t` per lane.
+    /// One C-row update `crow[j] += Σ_t avs[t] * b[rows[t] * n + j]`
+    /// (NEON): 8-lane (2×q) main blocks, then 4, then scalar tail.
+    /// Separate mul + add, ascending `t` per lane.
     ///
-    /// SAFETY (caller): neon enabled; every `ptrs[t]` valid for
-    /// `crow.len()` reads, none aliasing `crow`.
+    /// SAFETY (caller): neon enabled; for every `t`, `b` is valid for
+    /// reads of `(rows[t] + 1) * crow.len()` floats, none aliasing `crow`.
     #[target_feature(enable = "neon")]
-    pub(super) unsafe fn mma_row_neon(avs: &[f32], ptrs: &[*const f32], crow: &mut [f32]) {
+    pub(super) unsafe fn mma_row_neon(avs: &[f32], rows: &[u32], b: *const f32, crow: &mut [f32]) {
         let n = crow.len();
         let cp = crow.as_mut_ptr();
-        let nt = avs.len().min(ptrs.len());
         let mut j = 0;
-        // SAFETY: offsets `< n`; `cp` sole mutable pointer.
+        // SAFETY: as in `x86::mma_row_avx2` — C offsets `< n`, B offsets
+        // inside row `r`, `cp` sole mutable pointer.
         unsafe {
             while j + 8 <= n {
                 let mut c0 = vld1q_f32(cp.add(j));
                 let mut c1 = vld1q_f32(cp.add(j + 4));
-                for t in 0..nt {
-                    let av = vdupq_n_f32(avs[t]);
-                    let b0 = vld1q_f32(ptrs[t].add(j));
-                    let b1 = vld1q_f32(ptrs[t].add(j + 4));
+                for (&a, &r) in avs.iter().zip(rows) {
+                    let av = vdupq_n_f32(a);
+                    let b0 = vld1q_f32(b.add(r as usize * n + j));
+                    let b1 = vld1q_f32(b.add(r as usize * n + j + 4));
                     c0 = vaddq_f32(c0, vmulq_f32(av, b0));
                     c1 = vaddq_f32(c1, vmulq_f32(av, b1));
                 }
@@ -1040,9 +1055,9 @@ mod neon {
             }
             while j + 4 <= n {
                 let mut c0 = vld1q_f32(cp.add(j));
-                for t in 0..nt {
-                    let av = vdupq_n_f32(avs[t]);
-                    let b0 = vld1q_f32(ptrs[t].add(j));
+                for (&a, &r) in avs.iter().zip(rows) {
+                    let av = vdupq_n_f32(a);
+                    let b0 = vld1q_f32(b.add(r as usize * n + j));
                     c0 = vaddq_f32(c0, vmulq_f32(av, b0));
                 }
                 vst1q_f32(cp.add(j), c0);
@@ -1050,8 +1065,8 @@ mod neon {
             }
             while j < n {
                 let mut cj = *cp.add(j);
-                for t in 0..nt {
-                    cj += avs[t] * *ptrs[t].add(j);
+                for (&a, &r) in avs.iter().zip(rows) {
+                    cj += a * *b.add(r as usize * n + j);
                 }
                 *cp.add(j) = cj;
                 j += 1;
@@ -1382,7 +1397,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_has_no_zero_skip_and_matches_scalar() {
+    fn single_term_row_update_has_no_zero_skip_and_matches_scalar() {
+        // The TCF per-edge update: one term, zero values multiplied too.
         for n in [1usize, 4, 9, 16, 27, 64] {
             let b = messy(0x5EED ^ n as u64, n);
             for v in [0.0f32, -0.0, 2.5, f32::NAN, f32::INFINITY] {
@@ -1392,7 +1408,7 @@ mod tests {
                 }
                 for tier in available_tiers() {
                     let mut got = vec![0.75f32; n];
-                    axpy_tier(v, &b, &mut got, tier);
+                    mma_row_tier(&[v], &[0], &b, &mut got, tier);
                     for j in 0..n {
                         assert!(
                             same(got[j], want[j]),

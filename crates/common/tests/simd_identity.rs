@@ -13,7 +13,8 @@
 use proptest::prelude::*;
 use spmm_common::scalar;
 use spmm_common::simd::{
-    mma_8x8_prerounded_tier, mma_8x8_rows_tier, to_tf32_slice_into_tier, to_tf32_slice_tier,
+    mma_8x8_prerounded_tier, mma_8x8_rows_tier, mma_row_tier, to_tf32_slice_into_tier,
+    to_tf32_slice_tier,
 };
 use spmm_common::IsaTier;
 
@@ -82,6 +83,79 @@ fn assert_same_bits(expected: &[f32], got: &[f32], what: &str, tier: IsaTier) {
             e.to_bits(),
             g.to_bits()
         );
+    }
+}
+
+/// Full-mantissa values in ±[1, 2), so products carry up to 48
+/// significant bits and a fused multiply-add would round differently
+/// from mul + add; exact zeros every eleventh slot and a special every
+/// seventh.
+fn full_mantissa(seed: u64, len: usize) -> Vec<f32> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = (state >> 33) as u32;
+            if i % 11 == 5 {
+                0.0
+            } else if i % 7 == 3 {
+                f32::from_bits(SPECIALS[r as usize % SPECIALS.len()])
+            } else {
+                f32::from_bits(0x3F80_0000 | (r & 0x807F_FFFF))
+            }
+        })
+        .collect()
+}
+
+/// The gathered row kernel on every tier against a plain scalar loop:
+/// widths around each vector width (tails, one block, block + tail, and
+/// the several-block rows of a side-by-side batch stage) and
+/// term counts from none to a reddit-sized row (AvgL ≈ 604), with B rows
+/// carrying NaN, ±Inf, -0.0 and subnormals and zero-valued terms (the
+/// kernel multiplies every term; dropping zeros is the caller's job).
+#[test]
+fn mma_row_matches_scalar_on_every_tier() {
+    const BROWS: usize = 41;
+    for n in [1usize, 7, 8, 15, 16, 31, 32, 33, 64, 79, 128, 177] {
+        for count in [0usize, 1, 9, 600] {
+            let seed = (n * 1000 + count) as u64;
+            let mut b = full_mantissa(seed, BROWS * n);
+            // Row 0 is all specials and every fifth term reads it.
+            for (j, x) in b[..n].iter_mut().enumerate() {
+                *x = f32::from_bits(SPECIALS[j % 6]);
+            }
+            let avs = full_mantissa(seed.wrapping_add(1), count);
+            let rows: Vec<u32> = (0..count)
+                .map(|t| {
+                    if t % 5 == 0 {
+                        0
+                    } else {
+                        ((t * 7 + n) % BROWS) as u32
+                    }
+                })
+                .collect();
+            let c0 = full_mantissa(seed.wrapping_add(2), n);
+
+            let mut reference = c0.clone();
+            for (&av, &r) in avs.iter().zip(&rows) {
+                let brow = &b[r as usize * n..(r as usize + 1) * n];
+                for (cj, &bj) in reference.iter_mut().zip(brow) {
+                    *cj += av * bj;
+                }
+            }
+            for tier in available_tiers() {
+                let mut c = c0.clone();
+                mma_row_tier(&avs, &rows, &b, &mut c, tier);
+                assert_same_bits(
+                    &reference,
+                    &c,
+                    &format!("mma_row n={n} terms={count}"),
+                    tier,
+                );
+            }
+        }
     }
 }
 

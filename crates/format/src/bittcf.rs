@@ -9,13 +9,21 @@
 //!    non-zero at local position `(r, c)`.
 //!
 //! Index footprint: `(⌈M/8⌉ + NumTCBlock × 11 + 2) × 4` bytes, exactly
-//! the paper's formula. Decompression mirrors the CUDA `__popcll` path:
-//! the value index of the non-zero at bit `t` is the popcount of the bits
-//! below `t`.
+//! the paper's formula. The executor runs straight from the bitmap
+//! instead of decompressing blocks to dense tiles: the value of the
+//! non-zero at bit `t` sits at `TCOffset[blk]` plus the popcount of the
+//! bits below `t` (the CUDA `__popcll` addressing), and bit `t` feeds
+//! window row `t / 8` from block column `t % 8`. Walking a window's
+//! blocks in order and each bitmap's set bits in ascending order visits
+//! the values in storage order, so the walk keeps a running value index
+//! and hands every window row its terms in ascending block, then
+//! ascending column order; each row's terms then accumulate into C
+//! through one register-blocked row kernel.
 
 use crate::scratch::{BStage, TileScratch};
 use crate::window::{WindowPartition, PAD_COL, TILE};
-use spmm_common::simd::{mma_8x8_prerounded_tier, mma_8x8_rows_tier, to_tf32_slice_tier, IsaTier};
+use spmm_common::scalar::to_tf32;
+use spmm_common::simd::{mma_row_tier, to_tf32_slice_tier, IsaTier};
 use spmm_common::{Result, SpmmError};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
@@ -391,10 +399,11 @@ impl BitTcf {
         tile
     }
 
-    /// Functional SpMM through the TC path: every block is decompressed
-    /// to a dense tile and multiplied with the gathered B rows by the
-    /// software TF32 MMA, accumulating into C. This is numerically what
-    /// the GPU kernel computes (TF32 operands, FP32 accumulate).
+    /// Functional SpMM through the TC path: each window's bitmaps are
+    /// walked in bit order ([`BitTcf::window_product`]) and every stored
+    /// non-zero's TF32 value scales its B row into its C row, FP32
+    /// accumulate. Per output element this is exactly the sum order of
+    /// the GPU kernel's 8×8 TF32 tile MMA over the decompressed blocks.
     ///
     /// RowWindows write disjoint C rows, so the window loop parallelizes
     /// over the output exactly like the GPU's thread-block grid.
@@ -416,9 +425,9 @@ impl BitTcf {
     }
 
     /// The window-parallel SpMM over a pre-rounded B stage (one
-    /// [`TileScratch`] per worker, the stage shared read-only), so the
-    /// hot path allocates nothing proportional to the matrix and the MMA
-    /// inner loop is a pure mul-add.
+    /// accumulator tile per worker, the stage shared read-only), so the
+    /// hot path allocates nothing proportional to the matrix and the
+    /// row kernel's inner loop is a pure mul-add.
     pub fn spmm_into_staged(&self, stage: &BStage, c: &mut DenseMatrix) -> Result<()> {
         self.spmm_into_staged_tier(stage, c, IsaTier::probe())
     }
@@ -439,9 +448,8 @@ impl BitTcf {
             .par_chunks_mut(TILE * n)
             .enumerate()
             .for_each_init(
-                || TileScratch::with_feature_dim(n),
-                |scratch, (w, cslab)| {
-                    let (_btile, ctile) = scratch.ensure(n);
+                || vec![0.0f32; TILE * n],
+                |ctile, (w, cslab)| {
                     ctile.iter_mut().for_each(|x| *x = 0.0);
                     self.window_product(w, stage, ctile, tier);
                     // Write the window's C rows back (last slab may be
@@ -452,88 +460,73 @@ impl BitTcf {
         Ok(())
     }
 
-    /// Accumulate window `w`'s TC blocks into `ctile`. Both operands are
-    /// pre-rounded here — B by the stage, A either at
-    /// [`BitTcf::preround_values`] time or per block below — so the MMA
-    /// core never rounds, and it reads B rows in place from the stage
-    /// (no gather copy; padded columns carry structurally zero A values
-    /// and are skipped, so their empty slices are never read).
-    fn window_product(&self, w: usize, stage: &BStage, ctile: &mut [f32], tier: IsaTier) {
-        let n = stage.ncols();
-        for blk in self.window_blocks(w) {
-            let mut a = self.decompress_block(blk);
-            if !self.values_tf32 {
-                to_tf32_slice_tier(&mut a, tier);
-            }
+    /// Visit the stored non-zeros of window `w` as `(local row, value,
+    /// B row)`, read straight from the bitmaps: ascending block, then
+    /// ascending bit. Values are stored in that order, so a running index
+    /// over the window's value span replaces the `TCOffset +
+    /// popcount(bits below)` lookup, and each local row sees its entries
+    /// in ascending block, then ascending column order.
+    #[inline]
+    fn for_each_entry(&self, w: usize, mut f: impl FnMut(usize, f32, u32)) {
+        let blocks = self.window_blocks(w);
+        let mut vi = self.tc_offset[blocks.start] as usize;
+        for blk in blocks {
             let cols = self.block_cols(blk);
-            let rows: [&[f32]; TILE] = std::array::from_fn(|i| {
-                if cols[i] == PAD_COL {
-                    &[][..]
-                } else {
-                    stage.row(cols[i] as usize)
-                }
-            });
-            mma_8x8_rows_tier(&a, &rows, ctile, n, tier);
+            let mut bits = self.tc_local_bit[blk];
+            while bits != 0 {
+                let t = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                f(t / TILE, self.values[vi], cols[t % TILE]);
+                vi += 1;
+            }
         }
     }
 
-    /// Accumulate window `w` into a combined ctile for the whole batch,
-    /// decompressing each TC block **once** and running **one wide MMA**
-    /// over the concatenated columns — the CPU analog of a batched GPU
-    /// kernel keeping the A tile in registers while cycling B tiles.
-    /// `btile` and `ctiles` are `TILE × Σ ncols` floats laid out
-    /// row-major with the RHS column blocks side by side: row `i` is
-    /// `[rhs0[i] | rhs1[i] | …]`. Unlike the single-RHS window product,
-    /// this path keeps the gather: one wide contiguous MMA over
-    /// `Σ ncols` columns measures faster here than cycling per-RHS row
-    /// slices. Per output element the k-accumulation
-    /// order is exactly [`BitTcf::spmm_into_seq`]'s, so results stay
-    /// bit-identical to one-at-a-time execution.
-    pub fn window_product_batch(
-        &self,
-        w: usize,
-        stages: &[&BStage],
-        btile: &mut [f32],
-        ctiles: &mut [f32],
-    ) {
-        self.window_product_batch_tier(w, stages, btile, ctiles, IsaTier::probe())
-    }
-
-    /// [`BitTcf::window_product_batch`] with an explicit ISA tier.
-    pub fn window_product_batch_tier(
-        &self,
-        w: usize,
-        stages: &[&BStage],
-        btile: &mut [f32],
-        ctiles: &mut [f32],
-        tier: IsaTier,
-    ) {
-        let total_n: usize = stages.iter().map(|s| s.ncols()).sum();
-        for blk in self.window_blocks(w) {
-            let mut a = self.decompress_block(blk);
-            if !self.values_tf32 {
-                to_tf32_slice_tier(&mut a, tier);
+    /// Accumulate window `w` into `ctile` (`TILE × stage.ncols()`
+    /// floats, row-major) — the one BitTCF window executor. A batch runs
+    /// through it as one wide RHS staged side by side
+    /// ([`BStage::stage_batch_tier`]), so each window's bitmaps are
+    /// walked once for the whole batch and every term updates all RHS
+    /// columns in one row-kernel call.
+    ///
+    /// The window is one bitmap walk (`for_each_entry`) that sorts terms
+    /// into per-row buffers: each value is TF32-rounded (unless
+    /// [`BitTcf::preround_values`] already did), terms that round to
+    /// exactly zero are dropped — so `0 × Inf` is never formed — and each
+    /// row's terms are accumulated into its C row by one
+    /// register-blocked row kernel reading B rows in place from the
+    /// stage. Every output lane receives its additions in ascending
+    /// block, then ascending column order — the order of a dense 8×8
+    /// tile MMA over the decompressed blocks
+    /// ([`spmm_common::scalar::tf32_mma_8x8`]) — so results are
+    /// bit-identical and NaN-position-exact to it. The row buffers are
+    /// fixed-size stack chunks, flushed when full, so the executor never
+    /// allocates.
+    pub fn window_product(&self, w: usize, stage: &BStage, ctile: &mut [f32], tier: IsaTier) {
+        const CHUNK: usize = 32;
+        let (b, n) = (stage.as_slice(), stage.ncols());
+        let mut vals = [[0.0f32; CHUNK]; TILE];
+        let mut rows = [[0u32; CHUNK]; TILE];
+        let mut len = [0usize; TILE];
+        self.for_each_entry(w, |r, v, col| {
+            let v = if self.values_tf32 { v } else { to_tf32(v) };
+            if v == 0.0 {
+                return;
             }
-            for (i, &col) in self.block_cols(blk).iter().enumerate() {
-                let dst = &mut btile[i * total_n..(i + 1) * total_n];
-                if col == PAD_COL {
-                    dst.fill(0.0);
-                } else {
-                    let mut off = 0;
-                    for s in stages {
-                        let n = s.ncols();
-                        dst[off..off + n].copy_from_slice(s.row(col as usize));
-                        off += n;
-                    }
-                }
+            vals[r][len[r]] = v;
+            rows[r][len[r]] = col;
+            len[r] += 1;
+            if len[r] == CHUNK {
+                mma_row_tier(&vals[r], &rows[r], b, &mut ctile[r * n..(r + 1) * n], tier);
+                len[r] = 0;
             }
-            mma_8x8_prerounded_tier(
-                &a,
-                &btile[..TILE * total_n],
-                &mut ctiles[..TILE * total_n],
-                total_n,
-                tier,
-            );
+        });
+        for r in 0..TILE {
+            let k = len[r];
+            if k > 0 {
+                let crow = &mut ctile[r * n..(r + 1) * n];
+                mma_row_tier(&vals[r][..k], &rows[r][..k], b, crow, tier);
+            }
         }
     }
 
@@ -607,31 +600,21 @@ impl BitTcf {
                 context: format!("A has {} cols, B has {} rows", self.ncols, b.nrows()),
             });
         }
-        let n = b.ncols();
-        let mut c = DenseMatrix::zeros(self.nrows, n);
-        let mut btile = vec![0.0f32; TILE * n];
-        let mut ctile = vec![0.0f32; TILE * n];
+        // The executor's bitmap walk with both operands rounded to
+        // `precision` and FP32 accumulation: same per-lane addition
+        // order, so TF32 mode is bit-identical to `spmm`.
+        let mut c = DenseMatrix::zeros(self.nrows, b.ncols());
         for w in 0..self.num_windows() {
-            ctile.iter_mut().for_each(|x| *x = 0.0);
-            for blk in self.window_blocks(w) {
-                let a = self.decompress_block(blk);
-                for (i, &col) in self.block_cols(blk).iter().enumerate() {
-                    if col == PAD_COL {
-                        btile[i * n..(i + 1) * n].iter_mut().for_each(|x| *x = 0.0);
-                    } else {
-                        btile[i * n..(i + 1) * n].copy_from_slice(b.row(col as usize));
-                    }
+            self.for_each_entry(w, |r, v, col| {
+                let av = spmm_common::round_to(v, precision);
+                if av == 0.0 {
+                    return;
                 }
-                spmm_common::precision::mma_8x8_with_precision(
-                    &a, &btile, &mut ctile, n, precision,
-                );
-            }
-            let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(self.nrows);
-            for r in lo..hi {
-                c.row_mut(r)
-                    .copy_from_slice(&ctile[(r - lo) * n..(r - lo + 1) * n]);
-            }
+                let crow = c.row_mut(w * TILE + r);
+                for (cj, &bj) in crow.iter_mut().zip(b.row(col as usize)) {
+                    *cj += av * spmm_common::round_to(bj, precision);
+                }
+            });
         }
         Ok(c)
     }
@@ -640,18 +623,7 @@ impl BitTcf {
     pub fn to_csr(&self) -> CsrMatrix {
         let mut coo = CooMatrix::new(self.nrows, self.ncols);
         for w in 0..self.num_windows() {
-            let lo = w * TILE;
-            for blk in self.window_blocks(w) {
-                let tile = self.decompress_block(blk);
-                let cols = self.block_cols(blk);
-                let bits = self.tc_local_bit[blk];
-                for (t, &v) in tile.iter().enumerate() {
-                    if bits & (1u64 << t) != 0 {
-                        let (lr, lc) = (t / TILE, t % TILE);
-                        coo.push((lo + lr) as u32, cols[lc], v);
-                    }
-                }
-            }
+            self.for_each_entry(w, |r, v, col| coo.push((w * TILE + r) as u32, col, v));
         }
         CsrMatrix::from_coo(&coo)
     }
@@ -770,47 +742,58 @@ mod tests {
         assert_eq!(via_alloc, via_seq);
     }
 
-    #[test]
-    fn window_product_batch_is_bit_identical_to_sequential() {
-        let m = uniform_random(96, 6.0, 13);
-        let t = BitTcf::from_csr(&m);
-        // Mixed feature dims exercise the side-by-side ctile offsets.
-        let bs: Vec<DenseMatrix> = (0..3)
-            .map(|i| DenseMatrix::random(96, 8 + 4 * i, 50 + i as u64))
-            .collect();
-        let total_n: usize = bs.iter().map(|b| b.ncols()).sum();
-        let mut scratch = TileScratch::new();
-        let (btile, ctiles) = scratch.ensure(total_n);
-        let stages: Vec<BStage> = bs
-            .iter()
-            .map(|b| {
-                let mut s = BStage::new();
-                s.stage(b);
-                s
-            })
-            .collect();
-        let srefs: Vec<&BStage> = stages.iter().collect();
+    /// Run every RHS in `bs` through [`BitTcf::window_product`] as one
+    /// side-by-side batch stage, scattering the wide ctile rows back out.
+    fn batch_spmm(t: &BitTcf, bs: &[DenseMatrix]) -> Vec<DenseMatrix> {
+        let mut stage = BStage::new();
+        stage.stage_batch_tier(bs, IsaTier::probe());
+        let total_n = stage.ncols();
+        let mut ctile = vec![0.0f32; TILE * total_n];
         let mut got: Vec<DenseMatrix> = bs
             .iter()
-            .map(|b| DenseMatrix::zeros(96, b.ncols()))
+            .map(|b| DenseMatrix::zeros(t.nrows(), b.ncols()))
             .collect();
         for w in 0..t.num_windows() {
-            ctiles.iter_mut().for_each(|x| *x = 0.0);
-            t.window_product_batch(w, &srefs, btile, ctiles);
+            ctile.iter_mut().for_each(|x| *x = 0.0);
+            t.window_product(w, &stage, &mut ctile, IsaTier::probe());
             let lo = w * TILE;
-            let hi = ((w + 1) * TILE).min(96);
-            for r in lo..hi {
-                let crow = &ctiles[(r - lo) * total_n..(r - lo + 1) * total_n];
+            for r in lo..((w + 1) * TILE).min(t.nrows()) {
+                let crow = &ctile[(r - lo) * total_n..(r - lo + 1) * total_n];
                 let mut off = 0;
-                for (j, b) in bs.iter().enumerate() {
-                    let n = b.ncols();
-                    got[j].row_mut(r).copy_from_slice(&crow[off..off + n]);
+                for g in got.iter_mut() {
+                    let n = g.ncols();
+                    g.row_mut(r).copy_from_slice(&crow[off..off + n]);
                     off += n;
                 }
             }
         }
-        for (j, b) in bs.iter().enumerate() {
-            assert_eq!(got[j], t.spmm(b).unwrap(), "rhs {j} diverged");
+        got
+    }
+
+    #[test]
+    fn window_product_batch_is_bit_identical_to_sequential() {
+        // 97 rows leave a ragged last window; widths 7, 32 and 33 cover
+        // the SIMD row kernels' tails, full blocks, and block + tail.
+        let m = uniform_random(97, 6.0, 13);
+        let t = BitTcf::from_csr(&m);
+        let bs: Vec<DenseMatrix> = [7, 32, 33, 8, 20]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| DenseMatrix::random(97, n, 50 + i as u64))
+            .collect();
+        for pre in [false, true] {
+            let mut t = t.clone();
+            if pre {
+                t.preround_values();
+            }
+            let got = batch_spmm(&t, &bs);
+            for (j, b) in bs.iter().enumerate() {
+                let mut seq = DenseMatrix::zeros(97, b.ncols());
+                t.spmm_into_seq(b, &mut seq, &mut TileScratch::new())
+                    .unwrap();
+                assert_eq!(seq, t.spmm(b).unwrap(), "rhs {j}: seq vs parallel");
+                assert_eq!(got[j], seq, "rhs {j} diverged (prerounded: {pre})");
+            }
         }
     }
 
@@ -897,6 +880,83 @@ mod tests {
                     g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
                     "({r},{c}): {g} vs {w}"
                 );
+            }
+        }
+    }
+
+    /// NaN-position-exact bitwise comparison (NaN payloads are
+    /// unspecified under commutation).
+    fn assert_nan_exact(got: &DenseMatrix, want: &DenseMatrix, what: &str) {
+        assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()));
+        for r in 0..want.nrows() {
+            for c in 0..want.ncols() {
+                let (g, w) = (got.get(r, c), want.get(r, c));
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{what} ({r},{c}): {g} vs {w}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn terms_rounding_to_zero_never_touch_non_finite_b_rows() {
+        // Stored 0.0, -0.0 and the smallest subnormal (which TF32-rounds
+        // to exactly 0), each in a column whose B row is all Inf or NaN:
+        // the row walk must drop them, never forming 0 × Inf.
+        let tiny = f32::from_bits(1);
+        assert_eq!(to_tf32(tiny), 0.0);
+        let mut coo = CooMatrix::new(19, 12);
+        for &(r, c, v) in &[
+            (0u32, 3u32, 0.0f32),
+            (0, 1, 1.5),
+            (1, 5, -0.0),
+            (1, 4, -2.25),
+            (2, 7, tiny),
+            (2, 0, 3.0),
+            (9, 3, tiny),
+            (9, 11, 0.5),
+            (10, 5, 0.0),
+            (11, 7, -0.0),
+            (11, 2, -1.0),
+            (18, 5, tiny),
+            (18, 6, 4.0),
+        ] {
+            coo.push(r, c, v);
+        }
+        let m = CsrMatrix::from_coo(&coo);
+        let poison = |b: &mut DenseMatrix| {
+            for c in 0..b.ncols() {
+                b.set(3, c, f32::INFINITY);
+                b.set(5, c, f32::NAN);
+                b.set(7, c, f32::NEG_INFINITY);
+            }
+        };
+        let mut b0 = DenseMatrix::random(12, 9, 8);
+        let mut b1 = DenseMatrix::random(12, 33, 9);
+        poison(&mut b0);
+        poison(&mut b1);
+        let t = BitTcf::from_csr(&m);
+        let want = [reference_spmm(&t, &b0), reference_spmm(&t, &b1)];
+        assert!(
+            (0..9).all(|c| want[0].get(0, c).is_finite()),
+            "oracle skips the zero terms"
+        );
+        for pre in [false, true] {
+            let mut t = t.clone();
+            if pre {
+                t.preround_values();
+            }
+            let mut scratch = TileScratch::new();
+            for (b, want) in [&b0, &b1].into_iter().zip(&want) {
+                assert_nan_exact(&t.spmm(b).unwrap(), want, "spmm");
+                let mut seq = DenseMatrix::zeros(19, b.ncols());
+                t.spmm_into_seq(b, &mut seq, &mut scratch).unwrap();
+                assert_nan_exact(&seq, want, "spmm_into_seq");
+            }
+            let batch = [b0.clone(), b1.clone()];
+            for (got, want) in batch_spmm(&t, &batch).iter().zip(&want) {
+                assert_nan_exact(got, want, "batch of 2");
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use crate::scratch::{BStage, TileScratch};
 use crate::window::{WindowPartition, PAD_COL, TILE};
-use spmm_common::simd::{mma_8x8_prerounded_tier, mma_8x8_rows_tier, to_tf32_slice_tier, IsaTier};
+use spmm_common::simd::{mma_8x8_rows_tier, to_tf32_slice_tier, IsaTier};
 use spmm_common::{Result, SpmmError};
 use spmm_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 
@@ -304,7 +304,7 @@ impl MeTcf {
     }
 
     /// [`MeTcf::spmm`] writing into a caller-provided output, parallel
-    /// over RowWindows with one [`TileScratch`] per worker (windows own
+    /// over RowWindows with one accumulator tile per worker (windows own
     /// disjoint output rows, so this computes the same floats as the
     /// sequential path).
     pub fn spmm_into(&self, b: &DenseMatrix, c: &mut DenseMatrix) -> Result<()> {
@@ -335,9 +335,8 @@ impl MeTcf {
             .par_chunks_mut(TILE * n)
             .enumerate()
             .for_each_init(
-                || TileScratch::with_feature_dim(n),
-                |scratch, (w, cslab)| {
-                    let (_btile, ctile) = scratch.ensure(n);
+                || vec![0.0f32; TILE * n],
+                |ctile, (w, cslab)| {
                     ctile.iter_mut().for_each(|x| *x = 0.0);
                     self.window_product(w, stage, ctile, tier);
                     cslab.copy_from_slice(&ctile[..cslab.len()]);
@@ -381,11 +380,14 @@ impl MeTcf {
         Ok(())
     }
 
-    /// Accumulate window `w`'s TC blocks into `ctile` (pre-rounded
-    /// operands, gather-free pure mul-add MMA — see
-    /// [`crate::BitTcf::window_product`] for the rounding and padding
-    /// contracts).
-    fn window_product(&self, w: usize, stage: &BStage, ctile: &mut [f32], tier: IsaTier) {
+    /// Accumulate window `w`'s TC blocks into `ctile`. Both operands are
+    /// pre-rounded — B by the stage, A at [`MeTcf::preround_values`]
+    /// time or per block below — and the MMA core reads B rows in place
+    /// from the stage (padded columns carry structurally zero A values
+    /// and are skipped, so their empty slices are never read). `ctile`
+    /// is `TILE × stage.ncols()` floats, row-major; a batch runs through
+    /// it as one wide stage ([`BStage::stage_batch_tier`]).
+    pub fn window_product(&self, w: usize, stage: &BStage, ctile: &mut [f32], tier: IsaTier) {
         let n = stage.ncols();
         for blk in self.window_blocks(w) {
             let mut a = self.decompress_block(blk);
@@ -402,61 +404,6 @@ impl MeTcf {
                 }
             });
             mma_8x8_rows_tier(&a, &rows, ctile, n, tier);
-        }
-    }
-
-    /// Accumulate window `w` into a combined ctile for the whole batch,
-    /// scattering each block's nnz **once** and running **one wide MMA**
-    /// over the concatenated columns (see
-    /// [`crate::BitTcf::window_product_batch`] for the layout contract
-    /// and why the batched path keeps the gather; bit-identical to
-    /// per-RHS [`MeTcf::spmm_into_seq`]).
-    pub fn window_product_batch(
-        &self,
-        w: usize,
-        stages: &[&BStage],
-        btile: &mut [f32],
-        ctiles: &mut [f32],
-    ) {
-        self.window_product_batch_tier(w, stages, btile, ctiles, IsaTier::probe())
-    }
-
-    /// [`MeTcf::window_product_batch`] with an explicit ISA tier.
-    pub fn window_product_batch_tier(
-        &self,
-        w: usize,
-        stages: &[&BStage],
-        btile: &mut [f32],
-        ctiles: &mut [f32],
-        tier: IsaTier,
-    ) {
-        let total_n: usize = stages.iter().map(|s| s.ncols()).sum();
-        for blk in self.window_blocks(w) {
-            let mut a = self.decompress_block(blk);
-            if !self.values_tf32 {
-                to_tf32_slice_tier(&mut a, tier);
-            }
-            for i in 0..TILE {
-                let col = self.sparse_a_to_b[blk * TILE + i];
-                let dst = &mut btile[i * total_n..(i + 1) * total_n];
-                if col == PAD_COL {
-                    dst.fill(0.0);
-                } else {
-                    let mut off = 0;
-                    for s in stages {
-                        let n = s.ncols();
-                        dst[off..off + n].copy_from_slice(s.row(col as usize));
-                        off += n;
-                    }
-                }
-            }
-            mma_8x8_prerounded_tier(
-                &a,
-                &btile[..TILE * total_n],
-                &mut ctiles[..TILE * total_n],
-                total_n,
-                tier,
-            );
         }
     }
 

@@ -10,11 +10,11 @@
 //!
 //! [`BStage`] is the second half of the pre-rounded operand scheme: one
 //! TF32-rounded copy of the dense operand, refreshed once per multiply.
-//! The single-RHS MMA core reads its rows *in place*
-//! ([`spmm_common::scalar::tf32_mma_8x8_rows`]), so there is no per-block
-//! gather tile and the inner loop stays a pure mul-add; only the batched
-//! path still gathers, into `btile`, where one wide MMA over the
-//! concatenated RHS columns measures faster than per-RHS row cycling.
+//! The executors read its rows *in place* (BitTCF's row walk, ME-TCF's
+//! tile MMA), so the inner loop stays a pure mul-add and nothing is
+//! gathered. A batch is staged as one wide operand
+//! ([`BStage::stage_batch_tier`]), so batched execution is single-RHS
+//! execution over the concatenated columns.
 
 use crate::window::TILE;
 use spmm_common::simd::{to_tf32_slice_into_tier, IsaTier};
@@ -63,6 +63,32 @@ impl BStage {
         self.ncols = b.ncols();
     }
 
+    /// Round a batch of operands (all with the same row count) into one
+    /// stage with their columns side by side: row `r` is
+    /// `[bs[0] row r | bs[1] row r | …]`. A batch then executes as one
+    /// wide RHS whose C rows hold every RHS's row in the same layout,
+    /// and each lane's arithmetic is exactly that of its own RHS.
+    pub fn stage_batch_tier(&mut self, bs: &[DenseMatrix], tier: IsaTier) {
+        let nrows = bs.first().map_or(0, |b| b.nrows());
+        assert!(
+            bs.iter().all(|b| b.nrows() == nrows),
+            "batch row counts differ"
+        );
+        let ncols: usize = bs.iter().map(|b| b.ncols()).sum();
+        let want = nrows * ncols;
+        self.data.resize(want.max(self.data.len()), 0.0);
+        for (r, dst) in self.data[..want].chunks_exact_mut(ncols.max(1)).enumerate() {
+            let mut off = 0;
+            for b in bs {
+                let n = b.ncols();
+                to_tf32_slice_into_tier(b.row(r), &mut dst[off..off + n], tier);
+                off += n;
+            }
+        }
+        self.nrows = nrows;
+        self.ncols = ncols;
+    }
+
     /// Rows of the staged operand.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -73,6 +99,12 @@ impl BStage {
     #[inline]
     pub fn ncols(&self) -> usize {
         self.ncols
+    }
+
+    /// The staged (pre-rounded) operand, row-major, `nrows × ncols`.
+    #[inline]
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data[..self.nrows * self.ncols]
     }
 
     /// Row `r` of the staged (pre-rounded) operand.
@@ -91,7 +123,6 @@ impl BStage {
 /// Caller-owned tile buffers for the sequential SpMM paths.
 #[derive(Debug, Clone, Default)]
 pub struct TileScratch {
-    btile: Vec<f32>,
     ctile: Vec<f32>,
     bstage: BStage,
 }
@@ -109,17 +140,14 @@ impl TileScratch {
         s
     }
 
-    /// Grow (never shrink) the tiles to hold `TILE × n` floats and hand
-    /// them out zeroed (`btile`) / untouched (`ctile` — callers reset it
-    /// per window anyway). Only the batched path reads `btile`; the
-    /// single-RHS paths accumulate straight from the stage.
-    pub fn ensure(&mut self, n: usize) -> (&mut [f32], &mut [f32]) {
+    /// Grow (never shrink) the accumulator tile to hold `TILE × n`
+    /// floats and hand it out untouched (callers reset it per window).
+    pub fn ensure(&mut self, n: usize) -> &mut [f32] {
         let want = TILE * n;
-        if self.btile.len() < want {
-            self.btile.resize(want, 0.0);
+        if self.ctile.len() < want {
             self.ctile.resize(want, 0.0);
         }
-        (&mut self.btile[..want], &mut self.ctile[..want])
+        &mut self.ctile[..want]
     }
 
     /// Round `b` into this scratch's owned [`BStage`] and hand it back.
@@ -134,6 +162,13 @@ impl TileScratch {
         &self.bstage
     }
 
+    /// Round a batch into the owned [`BStage`] with the operands' columns
+    /// side by side ([`BStage::stage_batch_tier`]) and hand it back.
+    pub fn stage_batch_b_tier(&mut self, bs: &[DenseMatrix], tier: IsaTier) -> &BStage {
+        self.bstage.stage_batch_tier(bs, tier);
+        &self.bstage
+    }
+
     /// Pre-size the owned [`BStage`] (avoids the first-call growth for
     /// callers that know the operand shape up front).
     pub fn reserve_stage(&mut self, nrows: usize, ncols: usize) {
@@ -144,13 +179,10 @@ impl TileScratch {
     /// tile: the sequential SpMM paths read B rows straight from the
     /// stage while accumulating in `ctile`, so both must be live at
     /// once. The stage must have been filled by [`TileScratch::stage_b`]
-    /// for the current operand.
+    /// (or [`TileScratch::stage_batch_b_tier`]) for the current operand.
     pub fn staged_parts(&mut self, n: usize) -> (&BStage, &mut [f32]) {
-        let want = TILE * n;
-        if self.ctile.len() < want {
-            self.ctile.resize(want, 0.0);
-        }
-        (&self.bstage, &mut self.ctile[..want])
+        self.ensure(n);
+        (&self.bstage, &mut self.ctile[..TILE * n])
     }
 
     /// Current tile capacity in floats.
@@ -158,11 +190,10 @@ impl TileScratch {
         self.ctile.len()
     }
 
-    /// Bytes of backing storage currently retained by the tiles and the
+    /// Bytes of backing storage currently retained by the tile and the
     /// owned [`BStage`].
     pub fn footprint_bytes(&self) -> usize {
-        (self.btile.capacity() + self.ctile.capacity()) * std::mem::size_of::<f32>()
-            + self.bstage.footprint_bytes()
+        self.ctile.capacity() * std::mem::size_of::<f32>() + self.bstage.footprint_bytes()
     }
 }
 
@@ -175,11 +206,7 @@ mod tests {
     fn ensure_grows_monotonically() {
         let mut s = TileScratch::new();
         assert_eq!(s.capacity(), 0);
-        {
-            let (b, c) = s.ensure(16);
-            assert_eq!(b.len(), TILE * 16);
-            assert_eq!(c.len(), TILE * 16);
-        }
+        assert_eq!(s.ensure(16).len(), TILE * 16);
         s.ensure(4);
         assert_eq!(s.capacity(), TILE * 16, "never shrinks");
         s.ensure(32);

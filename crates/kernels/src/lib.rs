@@ -45,7 +45,7 @@ pub use workspace::{Workspace, WorkspacePool};
 use crate::workspace::ensure_staging;
 use spmm_balance::BalancePlan;
 use spmm_common::{Result, SpmmError};
-use spmm_format::{BStage, BitTcf, MeTcf, Tcf, TileScratch, WindowPartition};
+use spmm_format::{BitTcf, MeTcf, Tcf, TileScratch, WindowPartition};
 use spmm_matrix::{CsrMatrix, DenseMatrix};
 use spmm_sim::{Arch, KernelDesc, KernelReport, SimOptions};
 
@@ -273,73 +273,30 @@ impl PreparedKernel {
         self.execute_into_impl(b, out, ws, true)
     }
 
-    /// Execute many RHS matrices over the shared plan. The batch is
-    /// split into one contiguous group per worker (a single spawn round
-    /// instead of one per RHS), and within a group the TC formats run a
-    /// *batched* window loop: each compressed block is decompressed once
-    /// and applied to every RHS, and window results scatter straight to
-    /// the original row order without a staging matrix. Per RHS the
-    /// gather/MMA sequence is exactly the sequential single-RHS path's,
-    /// so results are bit-identical to calling
+    /// Execute many RHS matrices over the shared plan into fresh
+    /// outputs: [`PreparedKernel::execute_batch_into`] with a fresh
+    /// [`Workspace`]. Results are bit-identical to calling
     /// [`PreparedKernel::execute`] per matrix.
     pub fn execute_batch(&self, bs: &[DenseMatrix]) -> Result<Vec<DenseMatrix>> {
-        use rayon::prelude::*;
         let _span = spmm_trace::span("kernel.execute_batch");
-        spmm_trace::counter_add("kernel.batch_rhs", bs.len() as u64);
-        if bs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let a_rows = self.csr().nrows();
-        let a_cols = self.csr().ncols();
-        // Validate every shape up front so the parallel region cannot
-        // fail on malformed input halfway through.
-        for b in bs {
-            if b.nrows() != a_cols {
-                return Err(SpmmError::Shape {
-                    context: format!("A is {a_rows}x{a_cols}, B is {}x{}", b.nrows(), b.ncols()),
-                });
-            }
-        }
         let mut outs: Vec<DenseMatrix> = bs
             .iter()
-            .map(|b| DenseMatrix::zeros(a_rows, b.ncols()))
+            .map(|b| DenseMatrix::zeros(self.csr().nrows(), b.ncols()))
             .collect();
-        let group = bs.len().div_ceil(rayon::current_num_threads()).max(1);
-        // Keep the *first* failure (lowest group index) — groups finish
-        // in arbitrary order, and a last-writer-wins slot would surface
-        // a different error on every run. Every failed group is counted
-        // so multi-failure batches stay observable in traces.
-        let failure: std::sync::Mutex<Option<(usize, SpmmError)>> = std::sync::Mutex::new(None);
-        let failed_groups = std::sync::atomic::AtomicU64::new(0);
-        outs.as_mut_slice()
-            .par_chunks_mut(group)
-            .enumerate()
-            .for_each_init(Workspace::new, |ws, (g, out_group)| {
-                let b_group = &bs[g * group..g * group + out_group.len()];
-                if let Err(e) = self.execute_group(b_group, out_group, ws) {
-                    failed_groups.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let mut slot = failure.lock().unwrap();
-                    if slot.as_ref().is_none_or(|(held, _)| g < *held) {
-                        *slot = Some((g, e));
-                    }
-                }
-            });
-        let failed = failed_groups.into_inner();
-        if failed > 0 {
-            spmm_trace::counter_add("kernel.batch_group_failures", failed);
-        }
-        match failure.into_inner().unwrap() {
-            Some((_, e)) => Err(e),
-            None => Ok(outs),
-        }
+        self.execute_batch_into(bs, &mut outs, &mut Workspace::new())?;
+        Ok(outs)
     }
 
-    /// Sequential batch entry point for callers that manage their own
-    /// threads (the serving engine's micro-batching workers): executes
-    /// every RHS in `bs` into the matching slot of `outs` on the
-    /// *calling* thread, sharing one reusable [`Workspace`] and — on the
-    /// compressed TC formats — decoding each block once for the whole
-    /// batch. Results are bit-identical to calling
+    /// Execute every RHS in `bs` into the matching slot of `outs`,
+    /// reusing caller-owned buffers (the serving engine's micro-batching
+    /// workers call this). The batch is split into one contiguous group
+    /// per thread (a single spawn round; a batch of one runs on the
+    /// calling thread), each group with its own [`Workspace`]: `ws`
+    /// for the first, workspaces `ws` keeps for the rest. On the
+    /// compressed TC formats a group stages its RHS side by side and
+    /// runs them as one wide RHS, so each window is walked once per
+    /// group. Every output lane sees exactly the arithmetic of its own
+    /// RHS, so results are bit-identical to calling
     /// [`PreparedKernel::execute`] per RHS.
     pub fn execute_batch_into(
         &self,
@@ -347,6 +304,7 @@ impl PreparedKernel {
         outs: &mut [DenseMatrix],
         ws: &mut Workspace,
     ) -> Result<()> {
+        use rayon::prelude::*;
         if bs.len() != outs.len() {
             return Err(SpmmError::shape(format!(
                 "batch has {} inputs but {} outputs",
@@ -370,7 +328,46 @@ impl PreparedKernel {
             return Ok(());
         }
         spmm_trace::counter_add("kernel.batch_rhs", bs.len() as u64);
-        self.execute_group(bs, outs, ws)
+        let group = bs.len().div_ceil(rayon::current_num_threads()).max(1);
+        if group == bs.len() {
+            return self.execute_group(bs, outs, ws);
+        }
+        let mut peers = std::mem::take(&mut ws.peers);
+        let groups = bs.len().div_ceil(group);
+        if peers.len() < groups - 1 {
+            peers.resize_with(groups - 1, Workspace::new);
+        }
+        let mut jobs: Vec<(&mut [DenseMatrix], &mut Workspace)> = outs
+            .chunks_mut(group)
+            .zip(std::iter::once(&mut *ws).chain(peers.iter_mut()))
+            .collect();
+        // Keep the *first* failure (lowest group index) — groups finish
+        // in arbitrary order, and a last-writer-wins slot would surface
+        // a different error on every run. Every failed group is counted
+        // so multi-failure batches stay observable in traces.
+        let failure: std::sync::Mutex<Option<(usize, SpmmError)>> = std::sync::Mutex::new(None);
+        let failed_groups = std::sync::atomic::AtomicU64::new(0);
+        jobs.par_chunks_mut(1).enumerate().for_each(|(g, job)| {
+            let (out_group, gws) = &mut job[0];
+            let b_group = &bs[g * group..g * group + out_group.len()];
+            if let Err(e) = self.execute_group(b_group, out_group, gws) {
+                failed_groups.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let mut slot = failure.lock().unwrap();
+                if slot.as_ref().is_none_or(|(held, _)| g < *held) {
+                    *slot = Some((g, e));
+                }
+            }
+        });
+        drop(jobs);
+        ws.peers = peers;
+        let failed = failed_groups.into_inner();
+        if failed > 0 {
+            spmm_trace::counter_add("kernel.batch_group_failures", failed);
+        }
+        match failure.into_inner().unwrap() {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
     }
 
     /// Run one worker's contiguous slice of the batch.
@@ -399,21 +396,14 @@ impl PreparedKernel {
         }
         let nrows = self.csr().nrows();
         let total_n: usize = bs.iter().map(|b| b.ncols()).sum();
-        let Workspace {
-            tiles,
-            batch_stages,
-            ..
-        } = ws;
-        // Round every RHS once per batch into its own reusable stage —
-        // the batched window loop then gathers pre-rounded rows only.
-        if batch_stages.len() < bs.len() {
-            batch_stages.resize_with(bs.len(), BStage::new);
-        }
-        for (stage, b) in batch_stages.iter_mut().zip(bs.iter()) {
-            stage.stage_tier(b, self.plan.isa_tier());
-        }
-        let stage_refs: Vec<&BStage> = batch_stages[..bs.len()].iter().collect();
-        let (btile, ctiles) = tiles.ensure(total_n);
+        let tier = self.plan.isa_tier();
+        // Round the whole batch once into one stage with the RHS columns
+        // side by side and run it as a single wide RHS through the
+        // format's one window executor: each window is walked once for
+        // the whole batch, and ctile row i holds every RHS's row i in
+        // turn.
+        ws.tiles.stage_batch_b_tier(bs, tier);
+        let (stage, ctile) = ws.tiles.staged_parts(total_n);
         // With a row reorder in effect, window w computes rows of the
         // *permuted* matrix; inverting the permutation lets each window
         // write its rows directly in original order, skipping the
@@ -425,31 +415,22 @@ impl PreparedKernel {
             }
             inv
         });
-        let num_windows = nrows.div_ceil(spmm_format::TILE);
-        for w in 0..num_windows {
-            ctiles.iter_mut().for_each(|x| *x = 0.0);
+        for w in 0..nrows.div_ceil(spmm_format::TILE) {
+            ctile.fill(0.0);
             match self.plan.format() {
-                Some(TcFormat::BitTcf(f)) => {
-                    f.window_product_batch_tier(w, &stage_refs, btile, ctiles, self.plan.isa_tier())
-                }
-                Some(TcFormat::MeTcf(f)) => {
-                    f.window_product_batch_tier(w, &stage_refs, btile, ctiles, self.plan.isa_tier())
-                }
+                Some(TcFormat::BitTcf(f)) => f.window_product(w, stage, ctile, tier),
+                Some(TcFormat::MeTcf(f)) => f.window_product(w, stage, ctile, tier),
                 _ => unreachable!("batched path is TC-only"),
             }
             let lo = w * spmm_format::TILE;
             let hi = ((w + 1) * spmm_format::TILE).min(nrows);
-            // ctiles row (r - lo) holds every RHS's row side by side.
             for r in lo..hi {
-                let dst = match &inv {
-                    Some(inv) => inv[r] as usize,
-                    None => r,
-                };
-                let crow = &ctiles[(r - lo) * total_n..(r - lo + 1) * total_n];
+                let dst = inv.as_ref().map_or(r, |inv| inv[r] as usize);
+                let crow = &ctile[(r - lo) * total_n..(r - lo + 1) * total_n];
                 let mut off = 0;
-                for (j, b) in bs.iter().enumerate() {
-                    let n = b.ncols();
-                    outs[j].row_mut(dst).copy_from_slice(&crow[off..off + n]);
+                for out in outs.iter_mut() {
+                    let n = out.ncols();
+                    out.row_mut(dst).copy_from_slice(&crow[off..off + n]);
                     off += n;
                 }
             }
@@ -654,6 +635,37 @@ mod tests {
             .build()
             .unwrap();
         assert!(k.execute_batch(&[]).unwrap().is_empty());
+    }
+
+    /// One workspace serves batches of every size: the split into
+    /// per-thread groups grows (and later reuses) its peer workspaces,
+    /// and a batch of one stays on the caller's workspace.
+    #[test]
+    fn execute_batch_into_reuses_one_workspace_across_batch_sizes() {
+        let (m, _) = workload();
+        let bs: Vec<DenseMatrix> = (0..7)
+            .map(|i| DenseMatrix::random(m.nrows(), 5 + 9 * (i as usize % 3), 300 + i))
+            .collect();
+        for kind in [KernelKind::AccSpmm, KernelKind::DtcSpmm] {
+            let k = PreparedKernel::builder(kind, &m)
+                .arch(Arch::A800)
+                .feature_dim(16)
+                .build()
+                .unwrap();
+            let mut ws = Workspace::new();
+            for len in [5, 1, 7, 2, 7] {
+                let batch = &bs[..len];
+                let mut outs: Vec<DenseMatrix> = batch
+                    .iter()
+                    .map(|b| DenseMatrix::zeros(m.nrows(), b.ncols()))
+                    .collect();
+                k.execute_batch_into(batch, &mut outs, &mut ws).unwrap();
+                for (i, (b, out)) in batch.iter().zip(&outs).enumerate() {
+                    let want = k.execute(b).unwrap();
+                    assert_eq!(*out, want, "{} batch {len} RHS {i}", kind.name());
+                }
+            }
+        }
     }
 
     #[test]

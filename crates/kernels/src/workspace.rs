@@ -1,23 +1,24 @@
 //! Reusable execution buffers for the zero-allocation multiply path.
 
 use crate::plan::ExecutionPlan;
-use spmm_format::{BStage, TileScratch};
+use spmm_format::TileScratch;
 use spmm_matrix::DenseMatrix;
 
 /// Caller-owned buffer pool for [`crate::PreparedKernel::execute_into`]:
-/// holds the TC tile scratch (which owns the TF32 pre-rounded B stage),
-/// the per-RHS stages of the batched path, plus the staging matrices the
-/// permuted kernels need (row-permuted B in symmetric mode, pre-scatter
-/// C when a row permutation must be undone). Buffers grow on first use
+/// holds the TC tile scratch (which owns the TF32 pre-rounded B stage,
+/// single or batched side by side), the staging matrices the permuted
+/// kernels need (row-permuted B in symmetric mode, pre-scatter C when a
+/// row permutation must be undone), and one workspace per further
+/// thread of a split batch. Buffers grow on first use
 /// and are reused on every subsequent call, so steady-state multiplies
 /// allocate nothing — the pattern iterative solvers and GNN training
 /// loops live in.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     pub(crate) tiles: TileScratch,
-    pub(crate) batch_stages: Vec<BStage>,
     pub(crate) staging_b: Option<DenseMatrix>,
     pub(crate) staging_c: Option<DenseMatrix>,
+    pub(crate) peers: Vec<Workspace>,
 }
 
 impl Workspace {
@@ -34,9 +35,9 @@ impl Workspace {
         tiles.reserve_stage(plan.csr().ncols(), plan.feature_dim());
         Workspace {
             tiles,
-            batch_stages: Vec::new(),
             staging_b: None,
             staging_c: None,
+            peers: Vec::new(),
         }
     }
 
@@ -49,22 +50,23 @@ impl Workspace {
     }
 
     /// Bytes of staging storage this workspace currently retains: tile
-    /// scratch (including the TF32 B stage), batched per-RHS stages,
-    /// and permutation staging matrices. This is the quantity the serving engine's
-    /// paged allocator charges against its page budget.
+    /// scratch (including the TF32 B stage), permutation staging
+    /// matrices and the workspaces of a split batch's further groups.
+    /// This is the quantity the serving engine's paged allocator charges
+    /// against its page budget.
     pub fn footprint_bytes(&self) -> usize {
         let dense = |m: &Option<DenseMatrix>| {
             m.as_ref()
                 .map_or(0, |m| m.nrows() * m.ncols() * std::mem::size_of::<f32>())
         };
         self.tiles.footprint_bytes()
-            + self
-                .batch_stages
-                .iter()
-                .map(|s| s.footprint_bytes())
-                .sum::<usize>()
             + dense(&self.staging_b)
             + dense(&self.staging_c)
+            + self
+                .peers
+                .iter()
+                .map(Workspace::footprint_bytes)
+                .sum::<usize>()
     }
 }
 

@@ -370,3 +370,64 @@ proptest! {
         }
     }
 }
+
+/// Stored 0.0, -0.0 and the smallest subnormal (TF32-rounds to exactly
+/// 0) in columns whose B rows are all Inf or NaN, served as a batch of
+/// two mixed-width RHS: the BitTCF executor must drop every zero term,
+/// NaN-position-exact against the dense-tile oracle.
+#[test]
+fn batched_bittcf_execution_skips_terms_that_round_to_zero() {
+    let tiny = f32::from_bits(1);
+    let mut coo = CooMatrix::new(19, 19);
+    for &(r, c, v) in &[
+        (0u32, 3u32, 0.0f32),
+        (0, 1, 1.5),
+        (1, 5, -0.0),
+        (1, 4, -2.25),
+        (2, 7, tiny),
+        (2, 0, 3.0),
+        (9, 3, tiny),
+        (9, 11, 0.5),
+        (10, 5, 0.0),
+        (11, 7, -0.0),
+        (11, 2, -1.0),
+        (18, 5, tiny),
+        (18, 6, 4.0),
+    ] {
+        coo.push(r, c, v);
+    }
+    let m = CsrMatrix::from_coo(&coo);
+    let bs: Vec<DenseMatrix> = [9, 33]
+        .iter()
+        .map(|&n| {
+            let mut b = DenseMatrix::random(19, n, n as u64);
+            for c in 0..n {
+                b.set(3, c, f32::INFINITY);
+                b.set(5, c, f32::NAN);
+                b.set(7, c, f32::NEG_INFINITY);
+            }
+            b
+        })
+        .collect();
+    let k = spmm_kernels::PreparedKernel::builder(spmm_kernels::KernelKind::AccSpmm, &m)
+        .feature_dim(9)
+        .build()
+        .unwrap();
+    let plan = k.execution_plan();
+    assert!(
+        matches!(plan.format(), Some(spmm_kernels::TcFormat::BitTcf(_))) && !plan.symmetric(),
+        "must run the batched BitTCF window loop"
+    );
+    let mut outs: Vec<DenseMatrix> = bs
+        .iter()
+        .map(|b| DenseMatrix::zeros(19, b.ncols()))
+        .collect();
+    k.execute_batch_into(&bs, &mut outs, &mut spmm_kernels::Workspace::new())
+        .unwrap();
+    let t = BitTcf::from_csr(&m);
+    for (j, (b, out)) in bs.iter().zip(&outs).enumerate() {
+        let want = reference_bittcf_spmm(&t, b);
+        assert!(want.get(0, 0).is_finite(), "oracle skips the zero terms");
+        assert!(bits_equal(out, &want), "rhs {j} diverged");
+    }
+}
