@@ -12,8 +12,12 @@
 //!
 //! The paper states O(n log n) complexity; the common-neighbour search is
 //! restricted to the 2-hop neighbourhood (the only vertices that *can*
-//! share a neighbour) with a deterministic per-hop cap on high-degree
-//! vertices, keeping total work near-linear in the number of edges.
+//! share a neighbour), walked through a strided sample of at most
+//! `TWO_HOP_CAP` neighbours per vertex that is precomputed once. Each
+//! chain step from `v` costs O(min(deg v, 64) · 64) counter increments in
+//! one dense accumulator reused across steps, a partial selection of the
+//! `RESCORE` best candidates, and an exact re-count over `deg v` plus the
+//! degrees of those 8 candidates; no step allocates.
 
 use spmm_graph::{CommunityTracker, Dendrogram, GraphView};
 use spmm_matrix::CsrMatrix;
@@ -77,10 +81,19 @@ pub(crate) fn ordering_generation(g: &GraphView, dendro: &Dendrogram) -> Vec<u32
     for (pos, &v) in leaves.iter().enumerate() {
         dfs_pos[v as usize] = pos as u32;
     }
+    let sample = SampledAdjacency::new(g, TWO_HOP_CAP);
 
     let mut perm = vec![u32::MAX; n];
     let mut visited = vec![false; n];
     let mut next_id = 0u32;
+    // Per-step scratch, reset after use: approximate counts of the
+    // unvisited 2-hop candidates, the candidates touched this step (at
+    // most CAP² distinct, plus one slot for the branch-free write), their
+    // sort keys, and a marker over N(v) for the exact re-count.
+    let mut counts = vec![0u32; n];
+    let mut touched = vec![0u32; n.min(TWO_HOP_CAP * TWO_HOP_CAP) + 1];
+    let mut keys: Vec<u64> = Vec::with_capacity(touched.len());
+    let mut in_nv = vec![false; n];
 
     for &start in &leaves {
         if visited[start as usize] {
@@ -93,30 +106,52 @@ pub(crate) fn ordering_generation(g: &GraphView, dendro: &Dendrogram) -> Vec<u32
         // Chain: hop to the unvisited vertex with the most common
         // neighbours until the chain dries up. Candidates come from the
         // (sampled) 2-hop neighbourhood; the top few by approximate count
-        // are re-scored with the exact sorted-merge intersection, and
-        // ties prefer the leaf closest in DFS order (staying inside the
+        // (ties by id) are re-scored with the exact count, and ties
+        // prefer the leaf closest in DFS order (staying inside the
         // current dendrogram community).
         let mut v = start;
-        let mut top: Vec<(u32, u32)> = Vec::new();
         loop {
-            let counts = g.two_hop_common_counts(v, TWO_HOP_CAP);
-            top.clear();
-            top.extend(
-                counts
-                    .iter()
-                    .filter(|&(&u, _)| !visited[u as usize])
-                    .map(|(&u, &c)| (c, u)),
-            );
-            if top.is_empty() {
+            // Branch-free: every sampled vertex is written to the next
+            // `touched` slot, which is kept only on its first unvisited
+            // touch, and visited vertices add 0.
+            let mut len = 0usize;
+            for &w in sample.of(v) {
+                for &u in sample.of(w) {
+                    let fresh = u32::from(!visited[u as usize]);
+                    let c = &mut counts[u as usize];
+                    touched[len] = u;
+                    len += (fresh & u32::from(*c == 0)) as usize;
+                    *c += fresh;
+                }
+            }
+            if len == 0 {
                 break;
             }
-            // Keep the RESCORE best approximate candidates.
-            top.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            top.truncate(RESCORE);
+            // The RESCORE best candidates by (count desc, id asc), in
+            // that order: as a u64 key, ascending order is exactly that.
+            keys.clear();
+            keys.extend(touched[..len].iter().map(|&u| {
+                let c = std::mem::take(&mut counts[u as usize]);
+                (u64::from(!c) << 32) | u64::from(u)
+            }));
+            if keys.len() > RESCORE {
+                keys.select_nth_unstable(RESCORE - 1);
+                keys.truncate(RESCORE);
+            }
+            keys.sort_unstable();
+
+            for &w in g.neighbors(v) {
+                in_nv[w as usize] = true;
+            }
             let pos_v = dfs_pos[v as usize];
             let mut best: Option<(usize, u32, u32)> = None; // (exact, dfs distance key)
-            for &(_, u) in top.iter() {
-                let exact = g.common_neighbors(v, u);
+            for &key in &keys {
+                let u = key as u32;
+                let exact = g
+                    .neighbors(u)
+                    .iter()
+                    .filter(|&&w| in_nv[w as usize])
+                    .count();
                 let dist = dfs_pos[u as usize].abs_diff(pos_v);
                 let better = match best {
                     None => true,
@@ -126,7 +161,11 @@ pub(crate) fn ordering_generation(g: &GraphView, dendro: &Dendrogram) -> Vec<u32
                     best = Some((exact, dist, u));
                 }
             }
-            let (_, _, u) = best.expect("top is non-empty");
+            for &w in g.neighbors(v) {
+                in_nv[w as usize] = false;
+            }
+
+            let (_, _, u) = best.expect("keys is non-empty");
             visited[u as usize] = true;
             perm[u as usize] = next_id;
             next_id += 1;
@@ -135,6 +174,40 @@ pub(crate) fn ordering_generation(g: &GraphView, dendro: &Dendrogram) -> Vec<u32
     }
     debug_assert_eq!(next_id as usize, n);
     perm
+}
+
+/// Every vertex's evenly strided sample of at most `cap` neighbours, as a
+/// flat CSR. Sampling is deterministic and spread across the sorted
+/// neighbour list, so a high-degree vertex contributes an unbiased slice
+/// of its neighbourhood rather than only its lowest ids.
+struct SampledAdjacency {
+    ptr: Vec<usize>,
+    adj: Vec<u32>,
+}
+
+impl SampledAdjacency {
+    fn new(g: &GraphView, cap: usize) -> Self {
+        let n = g.num_vertices();
+        let mut ptr = Vec::with_capacity(n + 1);
+        let mut adj = Vec::new();
+        ptr.push(0);
+        for v in 0..n as u32 {
+            adj.extend(strided(g.neighbors(v), cap));
+            ptr.push(adj.len());
+        }
+        SampledAdjacency { ptr, adj }
+    }
+
+    #[inline]
+    fn of(&self, v: u32) -> &[u32] {
+        &self.adj[self.ptr[v as usize]..self.ptr[v as usize + 1]]
+    }
+}
+
+/// Evenly-strided deterministic sample of up to `cap` elements.
+fn strided(xs: &[u32], cap: usize) -> impl Iterator<Item = u32> + '_ {
+    let step = xs.len().div_ceil(cap.max(1)).max(1);
+    xs.iter().step_by(step).copied()
 }
 
 #[cfg(test)]
