@@ -163,7 +163,7 @@ pub enum PlanLoadError {
     /// A stage-artifact section is missing, truncated, or internally
     /// inconsistent with the header.
     ArtifactInvalid {
-        /// Which section ("perm", "csr", "format", "balance", "trace").
+        /// Which section ("perm", "csr", "format").
         section: &'static str,
         /// The violated invariant.
         detail: String,

@@ -31,7 +31,7 @@
 //!    never touched; the `[..n]` bounds check runs only under `av != 0`,
 //!    mirroring the scalar panic semantics.
 //!
-//! The selected tier is resolved **once at plan-compile time**
+//! The selected tier is resolved **once at plan build**
 //! (`AccConfig::isa` pin → `SPMM_FORCE_ISA` env override → probe) and
 //! recorded in the plan; see `spmm_kernels::plan`. Serialized plan
 //! artifacts carry the tier as advisory metadata only — loaders re-probe

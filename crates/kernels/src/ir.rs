@@ -9,11 +9,11 @@
 //!   [`content_fingerprint`](spmm_matrix::CsrMatrix::content_fingerprint),
 //!   the [`AccConfig`] binding and its hash, plus the original stage
 //!   wall times;
-//! * five **length-prefixed binary sections** (little-endian, each
+//! * three **length-prefixed binary sections** (little-endian, each
 //!   skippable without parsing — an mmap-friendly layout): the reorder
-//!   permutation, the permuted CSR operand, the compressed-format blob
-//!   (with pre-rounded TF32 values, reusing the `spmm-format` codecs),
-//!   the balance schedule, and the compiled-kernel descriptor.
+//!   permutation, the permuted CSR operand, and the compressed-format
+//!   blob (with pre-rounded TF32 values, reusing the `spmm-format`
+//!   codecs).
 //!
 //! Loading is split in two: [`PlanIr::read_from`] parses and
 //! *structurally* validates the container (every section is checked
@@ -25,18 +25,21 @@
 //! [`ExecutionPlan`]. The window partition is deliberately *not*
 //! serialized: it rebuilds deterministically from the stored operand,
 //! keeping the container smaller and removing a whole class of
-//! cross-section inconsistency.
+//! cross-section inconsistency. Neither is the GPU model (balance
+//! schedule, simulator trace): the rehydrated plan derives it from its
+//! own format on first use, so no stored schedule can disagree with the
+//! format it indexes.
 
 use crate::acc::AccConfig;
 use crate::plan::{ExecutionPlan, FormatChoice, PlanContext, StageSpec, StageTiming};
 use crate::{KernelKind, TcFormat};
-use spmm_balance::{BalancePlan, BalanceStrategy, Segment, TbAssignment};
+use spmm_balance::BalanceStrategy;
 use spmm_common::json::Json;
 use spmm_common::{IsaTier, PlanLoadError, Result, SpmmError};
 use spmm_format::{io as format_io, WindowPartition};
 use spmm_matrix::CsrMatrix;
 use spmm_reorder::Algorithm;
-use spmm_sim::{Arch, BlockTrace, CacheOp, CachePolicy, KernelDesc, PipelineKind, TbTrace};
+use spmm_sim::Arch;
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -56,7 +59,11 @@ const MAGIC: [u8; 4] = *b"SPIR";
 /// v4 dropped the hybrid-region section and the `num_regions` /
 /// `decision` header fields: every plan names one concrete kernel, and
 /// a header whose kind is `auto` is rejected.
-pub const PLAN_IR_VERSION: u32 = 4;
+///
+/// v5 dropped the balance and trace sections and the `has_balance`
+/// header field: the GPU model is derived on demand from the plan. The
+/// tier lives in the `isa_tier` header field alone.
+pub const PLAN_IR_VERSION: u32 = 5;
 
 /// Sanity cap on section and array lengths.
 const CAP: u64 = 1 << 34;
@@ -74,10 +81,6 @@ fn put_u64(w: &mut impl Write, v: u64) -> Result<()> {
     Ok(())
 }
 
-fn put_f64(w: &mut impl Write, v: f64) -> Result<()> {
-    put_u64(w, v.to_bits())
-}
-
 fn get_u32(r: &mut impl Read) -> Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
@@ -88,10 +91,6 @@ fn get_u64(r: &mut impl Read) -> Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
-}
-
-fn get_f64(r: &mut impl Read) -> Result<f64> {
-    Ok(f64::from_bits(get_u64(r)?))
 }
 
 fn get_len(r: &mut impl Read, what: &str) -> Result<usize> {
@@ -199,50 +198,6 @@ fn format_slug(f: FormatChoice) -> &'static str {
     }
 }
 
-fn pipeline_tag(p: PipelineKind) -> u8 {
-    match p {
-        PipelineKind::SerialScalar => 0,
-        PipelineKind::TcgnnSync => 1,
-        PipelineKind::DtcDoubleBuffer => 2,
-        PipelineKind::AccLeastBubble => 3,
-    }
-}
-
-fn pipeline_from_tag(t: u8) -> Option<PipelineKind> {
-    Some(match t {
-        0 => PipelineKind::SerialScalar,
-        1 => PipelineKind::TcgnnSync,
-        2 => PipelineKind::DtcDoubleBuffer,
-        3 => PipelineKind::AccLeastBubble,
-        _ => return None,
-    })
-}
-
-fn cache_op_tag(c: CacheOp) -> u8 {
-    match c {
-        CacheOp::Ca => 0,
-        CacheOp::Cg => 1,
-        CacheOp::Cs => 2,
-        CacheOp::Lu => 3,
-        CacheOp::Cv => 4,
-        CacheOp::Wb => 5,
-        CacheOp::Wt => 6,
-    }
-}
-
-fn cache_op_from_tag(t: u8) -> Option<CacheOp> {
-    Some(match t {
-        0 => CacheOp::Ca,
-        1 => CacheOp::Cg,
-        2 => CacheOp::Cs,
-        3 => CacheOp::Lu,
-        4 => CacheOp::Cv,
-        5 => CacheOp::Wb,
-        6 => CacheOp::Wt,
-        _ => return None,
-    })
-}
-
 /// FNV-1a hash of an [`AccConfig`]'s schema-stable encoding — the
 /// configuration part of a plan's on-disk identity (file names, header
 /// validation). Stable across runs and builds, unlike `std::hash`.
@@ -279,7 +234,7 @@ pub fn acc_config_hash(c: &AccConfig) -> u64 {
 pub struct PlanIr {
     /// Kernel strategy the plan compiles.
     pub kind: KernelKind,
-    /// Architecture the balance schedule and trace were compiled for.
+    /// Architecture the GPU model targets.
     pub arch: Arch,
     /// Feature dimension the plan is specialized for.
     pub feature_dim: usize,
@@ -297,10 +252,9 @@ pub struct PlanIr {
     pub csr: CsrMatrix,
     /// The compressed format, values pre-rounded to TF32 (TC kernels).
     pub format: Option<TcFormat>,
-    /// The balance schedule (TC kernels).
-    pub balance: Option<BalancePlan>,
-    /// The compiled-kernel descriptor.
-    pub trace: KernelDesc,
+    /// The SIMD tier the plan was bound to when snapshotted. Advisory
+    /// provenance: loaders re-resolve it against the loading host.
+    pub isa_tier: IsaTier,
     /// Stage wall times recorded at original build time.
     pub timings: Vec<StageTiming>,
 }
@@ -318,8 +272,7 @@ impl PlanIr {
             perm: plan.perm().map(|p| p.to_vec()),
             csr: plan.csr().clone(),
             format: plan.format().cloned(),
-            balance: plan.balance().cloned(),
-            trace: plan.compiled_trace().clone(),
+            isa_tier: plan.isa_tier(),
             timings: plan.stage_timings().to_vec(),
         }
     }
@@ -389,12 +342,8 @@ impl PlanIr {
             "format".into(),
             Json::Str(format_slug(self.format_choice()).into()),
         );
-        h.insert(
-            "isa_tier".into(),
-            Json::Str(self.trace.isa_tier.name().into()),
-        );
+        h.insert("isa_tier".into(), Json::Str(self.isa_tier.name().into()));
         h.insert("has_perm".into(), Json::Bool(self.perm.is_some()));
-        h.insert("has_balance".into(), Json::Bool(self.balance.is_some()));
         h.insert("nrows".into(), Json::Num(self.csr.nrows() as f64));
         h.insert("ncols".into(), Json::Num(self.csr.ncols() as f64));
         h.insert("nnz".into(), Json::Num(self.csr.nnz() as f64));
@@ -403,7 +352,7 @@ impl PlanIr {
     }
 
     /// Serialize the container: magic, version, length-prefixed JSON
-    /// header, then the five length-prefixed binary sections.
+    /// header, then the three length-prefixed binary sections.
     pub fn write_to<W: Write>(&self, w: W) -> Result<()> {
         let mut w = BufWriter::new(w);
         w.write_all(&MAGIC)?;
@@ -430,16 +379,6 @@ impl PlanIr {
             Some(TcFormat::BitTcf(f)) => format_io::write_bittcf(&mut section, f)?,
             None => {}
         }
-        write_section(&mut w, &section)?;
-
-        section.clear();
-        if let Some(balance) = &self.balance {
-            write_balance(&mut section, balance)?;
-        }
-        write_section(&mut w, &section)?;
-
-        section.clear();
-        write_desc(&mut section, &self.trace)?;
         write_section(&mut w, &section)?;
 
         w.flush()?;
@@ -491,8 +430,6 @@ impl PlanIr {
         let perm_bytes = read_section(&mut r, "perm")?;
         let csr_bytes = read_section(&mut r, "csr")?;
         let format_bytes = read_section(&mut r, "format")?;
-        let balance_bytes = read_section(&mut r, "balance")?;
-        let trace_bytes = read_section(&mut r, "trace")?;
 
         let perm = if hdr.has_perm {
             let mut pr = csr_reader(&perm_bytes);
@@ -592,44 +529,6 @@ impl PlanIr {
             }
         }
 
-        let balance = if hdr.has_balance {
-            Some(
-                read_balance(&mut csr_reader(&balance_bytes))
-                    .map_err(|e| artifact("balance", &e))?,
-            )
-        } else {
-            if !balance_bytes.is_empty() {
-                return Err(PlanLoadError::ArtifactInvalid {
-                    section: "balance",
-                    detail: "header says no balance plan but section is non-empty".into(),
-                }
-                .into());
-            }
-            None
-        };
-
-        let trace = read_desc(&mut csr_reader(&trace_bytes)).map_err(|e| artifact("trace", &e))?;
-        if trace.feature_dim != hdr.feature_dim {
-            return Err(PlanLoadError::ArtifactInvalid {
-                section: "trace",
-                detail: format!(
-                    "trace compiled for feature dim {}, header says {}",
-                    trace.feature_dim, hdr.feature_dim
-                ),
-            }
-            .into());
-        }
-        if trace.isa_tier != hdr.isa_tier {
-            return Err(PlanLoadError::ArtifactInvalid {
-                section: "trace",
-                detail: format!(
-                    "trace recorded ISA tier {}, header says {}",
-                    trace.isa_tier, hdr.isa_tier
-                ),
-            }
-            .into());
-        }
-
         Ok(PlanIr {
             kind: hdr.kind,
             arch: hdr.arch,
@@ -640,8 +539,7 @@ impl PlanIr {
             perm,
             csr,
             format,
-            balance,
-            trace,
+            isa_tier: hdr.isa_tier,
             timings: hdr.timings,
         })
     }
@@ -711,7 +609,6 @@ struct Header {
     format: String,
     isa_tier: IsaTier,
     has_perm: bool,
-    has_balance: bool,
     nrows: usize,
     ncols: usize,
     nnz: usize,
@@ -798,13 +695,11 @@ impl Header {
             .ok_or_else(|| missing("timings"))?
             .iter()
             .filter_map(|t| {
-                // Span names are 'static: only the four pipeline stages
+                // Span names are 'static: only the pipeline stages
                 // rehydrate; foreign entries are dropped, not errors.
                 let stage = match t.get("stage").and_then(Json::as_str)? {
                     "reorder" => "reorder",
                     "format_build" => "format_build",
-                    "balance" => "balance",
-                    "compile" => "compile",
                     _ => return None,
                 };
                 Some(StageTiming {
@@ -824,7 +719,6 @@ impl Header {
             isa_tier: IsaTier::from_name(hdr_str(h, "isa_tier")?)
                 .ok_or_else(|| missing("isa_tier"))?,
             has_perm: hdr_bool(h, "has_perm")?,
-            has_balance: hdr_bool(h, "has_balance")?,
             nrows: hdr_usize(h, "nrows")?,
             ncols: hdr_usize(h, "ncols")?,
             nnz: hdr_usize(h, "nnz")?,
@@ -834,7 +728,7 @@ impl Header {
 }
 
 // ---------------------------------------------------------------------------
-// Section codecs (CSR, balance schedule, kernel descriptor).
+// The CSR section codec.
 
 fn write_csr(w: &mut impl Write, m: &CsrMatrix) -> Result<()> {
     put_u64(w, m.nrows() as u64)?;
@@ -872,156 +766,6 @@ fn read_csr(r: &mut impl Read) -> Result<CsrMatrix> {
     }
     // CsrMatrix::new re-validates every structural invariant.
     CsrMatrix::new(nrows, ncols, row_ptr, col_idx, values)
-}
-
-fn write_balance(w: &mut impl Write, b: &BalancePlan) -> Result<()> {
-    put_u64(w, b.tbs.len() as u64)?;
-    for tb in &b.tbs {
-        put_u64(w, tb.segments.len() as u64)?;
-        for s in &tb.segments {
-            put_u32(w, s.window)?;
-            put_u32(w, s.block_start)?;
-            put_u32(w, s.block_end)?;
-        }
-    }
-    put_f64(w, b.ibd)?;
-    w.write_all(&[b.applied as u8])?;
-    put_u64(w, b.chunk as u64)?;
-    Ok(())
-}
-
-fn read_balance(r: &mut impl Read) -> Result<BalancePlan> {
-    let ntbs = get_len(r, "balance tbs")?;
-    let mut tbs = Vec::with_capacity(ntbs);
-    for _ in 0..ntbs {
-        let nsegs = get_len(r, "balance segments")?;
-        let mut segments = Vec::with_capacity(nsegs);
-        for _ in 0..nsegs {
-            let window = get_u32(r)?;
-            let block_start = get_u32(r)?;
-            let block_end = get_u32(r)?;
-            if block_end < block_start {
-                return Err(SpmmError::MalformedFormat {
-                    detail: "balance segment runs backwards".into(),
-                });
-            }
-            segments.push(Segment {
-                window,
-                block_start,
-                block_end,
-            });
-        }
-        tbs.push(TbAssignment { segments });
-    }
-    let ibd = get_f64(r)?;
-    let mut flag = [0u8; 1];
-    r.read_exact(&mut flag)?;
-    let chunk = get_u64(r)? as usize;
-    Ok(BalancePlan {
-        tbs,
-        ibd,
-        applied: flag[0] != 0,
-        chunk,
-    })
-}
-
-fn write_desc(w: &mut impl Write, d: &KernelDesc) -> Result<()> {
-    put_u64(w, d.tbs.len() as u64)?;
-    for tb in &d.tbs {
-        put_u64(w, tb.blocks.len() as u64)?;
-        for b in &tb.blocks {
-            put_u32_slice(w, &b.b_rows)?;
-            put_u32(w, b.a_bytes)?;
-            put_u64(w, b.flops)?;
-            put_u32(w, b.decode_ops)?;
-        }
-        put_u32(w, tb.c_rows)?;
-        put_u32(w, tb.segments)?;
-    }
-    w.write_all(&[
-        pipeline_tag(d.pipeline),
-        cache_op_tag(d.policy.a_op),
-        cache_op_tag(d.policy.b_op),
-        cache_op_tag(d.policy.c_op),
-        d.use_tensor_cores as u8,
-    ])?;
-    put_f64(w, d.mem_efficiency)?;
-    put_u64(w, d.feature_dim as u64)?;
-    put_u64(w, d.effective_flops)?;
-    put_f64(w, d.arch_boost)?;
-    w.write_all(&[d.isa_tier.code()])?;
-    Ok(())
-}
-
-fn read_desc(r: &mut impl Read) -> Result<KernelDesc> {
-    let ntbs = get_len(r, "trace tbs")?;
-    let mut tbs = Vec::with_capacity(ntbs);
-    for _ in 0..ntbs {
-        let nblocks = get_len(r, "trace blocks")?;
-        let mut blocks = Vec::with_capacity(nblocks);
-        for _ in 0..nblocks {
-            let b_rows = get_u32_vec(r, "trace b_rows")?;
-            let a_bytes = get_u32(r)?;
-            let flops = get_u64(r)?;
-            let decode_ops = get_u32(r)?;
-            blocks.push(BlockTrace {
-                b_rows,
-                a_bytes,
-                flops,
-                decode_ops,
-            });
-        }
-        let c_rows = get_u32(r)?;
-        let segments = get_u32(r)?;
-        tbs.push(TbTrace {
-            blocks,
-            c_rows,
-            segments,
-        });
-    }
-    let mut tags = [0u8; 5];
-    r.read_exact(&mut tags)?;
-    let pipeline = pipeline_from_tag(tags[0]).ok_or_else(|| SpmmError::MalformedFormat {
-        detail: format!("unknown pipeline tag {}", tags[0]),
-    })?;
-    let bad_op = |t: u8| SpmmError::MalformedFormat {
-        detail: format!("unknown cache-op tag {t}"),
-    };
-    let policy = CachePolicy {
-        a_op: cache_op_from_tag(tags[1]).ok_or_else(|| bad_op(tags[1]))?,
-        b_op: cache_op_from_tag(tags[2]).ok_or_else(|| bad_op(tags[2]))?,
-        c_op: cache_op_from_tag(tags[3]).ok_or_else(|| bad_op(tags[3]))?,
-    };
-    let mem_efficiency = get_f64(r)?;
-    if !(0.0..=1.0).contains(&mem_efficiency) {
-        return Err(SpmmError::MalformedFormat {
-            detail: format!("memory efficiency {mem_efficiency} outside [0, 1]"),
-        });
-    }
-    let feature_dim = get_u64(r)? as usize;
-    let effective_flops = get_u64(r)?;
-    let arch_boost = get_f64(r)?;
-    if !arch_boost.is_finite() || arch_boost <= 0.0 {
-        return Err(SpmmError::MalformedFormat {
-            detail: format!("arch boost {arch_boost} not a positive finite factor"),
-        });
-    }
-    let mut tier_byte = [0u8; 1];
-    r.read_exact(&mut tier_byte)?;
-    let isa_tier = IsaTier::from_code(tier_byte[0]).ok_or_else(|| SpmmError::MalformedFormat {
-        detail: format!("unknown ISA tier code {}", tier_byte[0]),
-    })?;
-    Ok(KernelDesc {
-        tbs,
-        pipeline,
-        policy,
-        mem_efficiency,
-        use_tensor_cores: tags[4] != 0,
-        feature_dim,
-        effective_flops,
-        arch_boost,
-        isa_tier,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1165,10 +909,8 @@ impl PlanLoader {
         // the plan — every tier is bit-identical, so a re-bind changes
         // speed and provenance, never results.
         let isa_tier = IsaTier::resolve(ir.config.isa)?;
-        let mut trace = ir.trace;
-        if trace.isa_tier != isa_tier {
+        if ir.isa_tier != isa_tier {
             spmm_trace::counter_add("plan.isa_rebinds", 1);
-            trace.isa_tier = isa_tier;
         }
         let mut format = ir.format;
         match &mut format {
@@ -1188,8 +930,6 @@ impl PlanLoader {
             perm: ir.perm,
             partition,
             format,
-            balance: ir.balance,
-            trace: Some(trace),
             timings: ir.timings,
             isa_tier,
         };
@@ -1268,11 +1008,7 @@ mod tests {
             assert_eq!(rt.input_fingerprint, plan.input_fingerprint());
             assert_eq!(rt.csr, *plan.csr());
             assert_eq!(rt.perm.as_deref(), plan.perm());
-            assert_eq!(rt.trace.num_blocks(), plan.compiled_trace().num_blocks());
-            assert_eq!(
-                rt.trace.effective_flops,
-                plan.compiled_trace().effective_flops
-            );
+            assert_eq!(rt.isa_tier, plan.isa_tier());
         }
     }
 
@@ -1347,6 +1083,14 @@ mod tests {
         assert!(matches!(
             e,
             SpmmError::PlanLoad(PlanLoadError::VersionMismatch { found: 99, .. })
+        ));
+        // A v4 artifact (balance and trace sections) is stale, not
+        // malformed: callers fall back to a fresh build.
+        bytes[4] = 4;
+        let e = PlanIr::read_from(csr_reader(&bytes)).unwrap_err();
+        assert!(matches!(
+            e,
+            SpmmError::PlanLoad(PlanLoadError::VersionMismatch { found: 4, .. })
         ));
     }
 

@@ -1,19 +1,23 @@
 //! The staged execution-plan pipeline.
 //!
-//! Preprocessing is decomposed into four explicit, trait-backed stages —
-//! **Reorder → FormatBuild → BalancePlan → Compile** — each writing its
-//! artifacts into a shared [`PlanContext`]. The six [`KernelKind`]s stop
-//! being six hand-rolled prepare branches and become *stage
-//! configurations* ([`StageSpec`]): which reordering to run, which
-//! compressed format to materialize, which balance strategy to apply.
+//! Preprocessing is two explicit, trait-backed stages — **Reorder →
+//! FormatBuild** — each writing its artifacts into a shared
+//! [`PlanContext`]. The six [`KernelKind`]s stop being six hand-rolled
+//! prepare branches and become *stage configurations* ([`StageSpec`]):
+//! which reordering to run, which compressed format to materialize,
+//! which balance strategy the GPU model schedules with.
 //!
-//! The finished [`ExecutionPlan`] owns every intermediate the paper's
-//! evaluation wants to inspect (row permutation, shared
-//! [`WindowPartition`], compressed format, [`BalancePlan`], compiled
-//! simulator trace, per-stage wall times), so downstream consumers —
-//! stats reporting, profiling, batched execution — read artifacts
-//! instead of recomputing them. This is the *preprocess once, use many
-//! times* structure the paper amortizes across GNN training epochs.
+//! The finished [`ExecutionPlan`] owns everything execution reads (row
+//! permutation, shared [`WindowPartition`], compressed format, SIMD
+//! tier) plus per-stage wall times. This is the *preprocess once, use
+//! many times* structure the paper amortizes across GNN training
+//! epochs. The GPU model of the plan — the [`BalancePlan`] thread-block
+//! schedule and the simulator [`KernelDesc`] — is not a stage: no
+//! execution path reads it, so each plan derives it from its own
+//! format, operand, arch and config on first use
+//! ([`ExecutionPlan::balance`], [`ExecutionPlan::compiled_trace`]) and
+//! caches it. A repaired or reloaded plan starts with empty cells, so
+//! it can never carry a model of a different operand.
 
 use crate::acc::AccConfig;
 use crate::{scalar, tc, KernelKind, TcFormat};
@@ -23,6 +27,7 @@ use spmm_format::{BitTcf, MeTcf, Tcf, WindowPartition};
 use spmm_matrix::CsrMatrix;
 use spmm_reorder::Algorithm;
 use spmm_sim::{Arch, KernelDesc};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Which compressed format the FormatBuild stage materializes.
@@ -50,7 +55,7 @@ pub struct StageSpec {
     pub symmetric: bool,
     /// Compressed format to build.
     pub format: FormatChoice,
-    /// Balance strategy for the TC-block plan.
+    /// Balance strategy the TC-block schedule of the GPU model uses.
     pub balance: BalanceStrategy,
 }
 
@@ -116,11 +121,11 @@ pub struct StageTiming {
 pub struct PlanContext {
     /// Which concrete kernel this plan is for (never `Auto`).
     pub kind: KernelKind,
-    /// Target architecture (the balance model needs its spec).
+    /// Target architecture of the GPU model.
     pub arch: Arch,
     /// Dense-operand feature dimension.
     pub feature_dim: usize,
-    /// Acc ablation configuration (trace compilation reads it).
+    /// Acc ablation configuration.
     pub config: AccConfig,
     /// The stage configuration derived from `kind` + `config`.
     pub spec: StageSpec,
@@ -137,10 +142,6 @@ pub struct PlanContext {
     pub partition: Option<WindowPartition>,
     /// The materialized compressed format (TC kernels).
     pub format: Option<TcFormat>,
-    /// The balance plan (TC kernels).
-    pub balance: Option<BalancePlan>,
-    /// The compiled simulator trace.
-    pub trace: Option<KernelDesc>,
     /// Per-stage wall times, in execution order.
     pub timings: Vec<StageTiming>,
     /// The host SIMD tier the CPU compute core is bound to, resolved
@@ -175,8 +176,6 @@ impl PlanContext {
             perm: None,
             partition: None,
             format: None,
-            balance: None,
-            trace: None,
             timings: Vec::new(),
             // An unavailable pin falls back to the probe here; the
             // build entry points validate the pin first and surface it
@@ -276,124 +275,31 @@ impl PlanStage for FormatBuildStage {
     }
 }
 
-/// Stage 3 — TC-block balance planning over the partition's
-/// blocks-per-window distribution.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BalanceStage;
-
-impl PlanStage for BalanceStage {
-    fn name(&self) -> &'static str {
-        "balance"
-    }
-
-    fn run(&self, ctx: &mut PlanContext) -> Result<()> {
-        let Some(wp) = ctx.partition.as_ref() else {
-            return Ok(()); // CSR kernels schedule by row, not by block.
-        };
-        let spec = ctx.arch.spec();
-        let model = PerfModel::new(ModelParams {
-            feature_dim: ctx.feature_dim,
-            bandwidth: spec.dram_bw_gbps * 1e9,
-            flops: spec.tc_tf32_tflops * 1e12,
-            num_sms: spec.num_sms,
-        });
-        ctx.balance = Some(spmm_balance::plan(
-            &wp.blocks_per_window(),
-            ctx.spec.balance,
-            &model,
-        ));
-        Ok(())
-    }
-}
-
-/// Stage 4 — compile the kernel's work into a simulator trace, cached
-/// on the plan so repeated profiling never re-walks the format.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompileStage;
-
-impl PlanStage for CompileStage {
-    fn name(&self) -> &'static str {
-        "compile"
-    }
-
-    fn run(&self, ctx: &mut PlanContext) -> Result<()> {
-        let mut desc = match ctx.kind {
-            KernelKind::CusparseLike => scalar::cusparse_trace(&ctx.csr, ctx.feature_dim),
-            KernelKind::SputnikLike => scalar::sputnik_trace(&ctx.csr, ctx.feature_dim),
-            KernelKind::SparseTirLike => scalar::sparsetir_trace(&ctx.csr, ctx.feature_dim),
-            KernelKind::TcGnn => tc::tcgnn_trace(
-                match ctx.format.as_ref() {
-                    Some(TcFormat::Tcf(f)) => f,
-                    _ => return Err(missing_artifact("TcGnn", "Tcf format")),
-                },
-                ctx.balance
-                    .as_ref()
-                    .ok_or_else(|| missing_artifact("TcGnn", "balance plan"))?,
-                ctx.feature_dim,
-            ),
-            KernelKind::DtcSpmm => tc::dtc_trace(
-                match ctx.format.as_ref() {
-                    Some(TcFormat::MeTcf(f)) => f,
-                    _ => return Err(missing_artifact("DtcSpmm", "MeTcf format")),
-                },
-                ctx.balance
-                    .as_ref()
-                    .ok_or_else(|| missing_artifact("DtcSpmm", "balance plan"))?,
-                ctx.feature_dim,
-            ),
-            KernelKind::AccSpmm => tc::acc_trace(
-                ctx.format
-                    .as_ref()
-                    .ok_or_else(|| missing_artifact("AccSpmm", "TC format"))?,
-                ctx.balance
-                    .as_ref()
-                    .ok_or_else(|| missing_artifact("AccSpmm", "balance plan"))?,
-                ctx.feature_dim,
-                &ctx.config,
-            ),
-            KernelKind::Auto => unreachable!("{AUTO_UNRESOLVED}"),
-        };
-        // The trace builders don't know the tier; the compile stage is
-        // where the plan-level binding gets stamped into the artifact.
-        desc.isa_tier = ctx.isa_tier;
-        ctx.trace = Some(desc);
-        Ok(())
-    }
-}
-
 /// Span name for a pipeline stage (span names must be `'static`, so the
-/// four stage names map onto a fixed taxonomy under `plan.`).
+/// stage names map onto a fixed taxonomy under `plan.`).
 fn stage_span_name(stage: &str) -> &'static str {
     match stage {
         "reorder" => "plan.reorder",
         "format_build" => "plan.format_build",
-        "balance" => "plan.balance",
-        "compile" => "plan.compile",
         _ => "plan.stage",
     }
 }
 
-fn missing_artifact(kernel: &str, what: &str) -> SpmmError {
-    SpmmError::InvalidConfig(format!(
-        "{kernel} trace compilation needs the {what} artifact; run the earlier stages first"
-    ))
-}
-
 /// The default stage order.
 pub fn default_stages() -> Vec<Box<dyn PlanStage>> {
-    vec![
-        Box::new(ReorderStage),
-        Box::new(FormatBuildStage),
-        Box::new(BalanceStage),
-        Box::new(CompileStage),
-    ]
+    vec![Box::new(ReorderStage), Box::new(FormatBuildStage)]
 }
 
 /// A finished plan: every preprocessing artifact for one (kernel,
-/// matrix, architecture, feature-dim) binding.
+/// matrix, architecture, feature-dim) binding, and the GPU model of it,
+/// derived on first use.
 #[derive(Debug, Clone)]
 pub struct ExecutionPlan {
     ctx: PlanContext,
+    /// Filled by the first [`ExecutionPlan::balance`].
+    balance: OnceLock<Option<BalancePlan>>,
+    /// Filled by the first [`ExecutionPlan::compiled_trace`].
+    trace: OnceLock<KernelDesc>,
 }
 
 impl ExecutionPlan {
@@ -426,14 +332,19 @@ impl ExecutionPlan {
         }
         spmm_trace::counter_add("plan.builds", 1);
         record_isa_counters(ctx.isa_tier);
-        Ok(ExecutionPlan { ctx })
+        Ok(ExecutionPlan::from_context(ctx))
     }
 
-    /// Wrap an already-populated context (the plan-IR loader's
-    /// rehydration path; see [`crate::ir`]). The caller is responsible
-    /// for the context's cross-artifact consistency.
+    /// Wrap an already-populated context (the build, repair and plan-IR
+    /// rehydration paths), with the GPU model not yet derived. The
+    /// caller is responsible for the context's cross-artifact
+    /// consistency.
     pub(crate) fn from_context(ctx: PlanContext) -> Self {
-        ExecutionPlan { ctx }
+        ExecutionPlan {
+            ctx,
+            balance: OnceLock::new(),
+            trace: OnceLock::new(),
+        }
     }
 
     /// The full artifact store (incremental repair reads and rewrites
@@ -498,17 +409,44 @@ impl ExecutionPlan {
         self.ctx.format.as_ref()
     }
 
-    /// The balance plan (TC kernels).
+    /// The TC-block balance schedule of the GPU model (TC kernels):
+    /// planned on first call over the partition's blocks per window,
+    /// with the Eq-4 model of the plan's architecture.
     pub fn balance(&self) -> Option<&BalancePlan> {
-        self.ctx.balance.as_ref()
+        self.balance
+            .get_or_init(|| {
+                let wp = self.ctx.partition.as_ref()?;
+                let spec = self.ctx.arch.spec();
+                let model = PerfModel::new(ModelParams {
+                    feature_dim: self.ctx.feature_dim,
+                    bandwidth: spec.dram_bw_gbps * 1e9,
+                    flops: spec.tc_tf32_tflops * 1e12,
+                    num_sms: spec.num_sms,
+                });
+                Some(spmm_balance::plan(
+                    &wp.blocks_per_window(),
+                    self.ctx.spec.balance,
+                    &model,
+                ))
+            })
+            .as_ref()
     }
 
-    /// The compiled trace.
+    /// The plan's work compiled into a simulator trace, on first call.
     pub fn compiled_trace(&self) -> &KernelDesc {
-        self.ctx
-            .trace
-            .as_ref()
-            .expect("ExecutionPlan::build always compiles a trace")
+        self.trace.get_or_init(|| {
+            let ctx = &self.ctx;
+            let n = ctx.feature_dim;
+            match (ctx.kind, ctx.format.as_ref(), self.balance()) {
+                (KernelKind::CusparseLike, ..) => scalar::cusparse_trace(&ctx.csr, n),
+                (KernelKind::SputnikLike, ..) => scalar::sputnik_trace(&ctx.csr, n),
+                (KernelKind::SparseTirLike, ..) => scalar::sparsetir_trace(&ctx.csr, n),
+                (KernelKind::TcGnn, Some(TcFormat::Tcf(f)), Some(b)) => tc::tcgnn_trace(f, b, n),
+                (KernelKind::DtcSpmm, Some(TcFormat::MeTcf(f)), Some(b)) => tc::dtc_trace(f, b, n),
+                (KernelKind::AccSpmm, Some(f), Some(b)) => tc::acc_trace(f, b, n, &ctx.config),
+                (kind, ..) => unreachable!("a {kind:?} plan always holds its stage spec's format"),
+            }
+        })
     }
 
     /// The host SIMD tier the plan's CPU compute core is bound to.
@@ -609,39 +547,42 @@ mod tests {
     }
 
     #[test]
-    fn balance_stage_plans_over_the_partition() {
-        let mut ctx = ctx_for(KernelKind::AccSpmm);
-        BalanceStage.run(&mut ctx).unwrap();
-        assert!(ctx.balance.is_none(), "no partition yet, nothing to plan");
-        FormatBuildStage.run(&mut ctx).unwrap();
-        BalanceStage.run(&mut ctx).unwrap();
-        let plan = ctx.balance.as_ref().expect("balance planned");
-        let total: usize = ctx
-            .partition
-            .as_ref()
-            .unwrap()
-            .blocks_per_window()
-            .iter()
-            .sum();
+    fn balance_is_planned_over_the_partition_on_demand() {
+        let m = uniform_random(96, 6.0, 3);
+        let plan = ExecutionPlan::build(KernelKind::AccSpmm, &m, Arch::A800, 32, AccConfig::full())
+            .unwrap();
+        let schedule = plan.balance().expect("TC plans have a schedule");
+        let total: usize = plan.partition().unwrap().blocks_per_window().iter().sum();
         assert_eq!(
-            plan.tbs.iter().map(|tb| tb.num_blocks()).sum::<usize>(),
+            schedule.tbs.iter().map(|tb| tb.num_blocks()).sum::<usize>(),
             total,
-            "plan covers every TC block exactly once"
+            "schedule covers every TC block exactly once"
+        );
+        let csr = ExecutionPlan::build(
+            KernelKind::SputnikLike,
+            &m,
+            Arch::A800,
+            32,
+            AccConfig::full(),
+        )
+        .unwrap();
+        assert!(
+            csr.balance().is_none(),
+            "CSR kernels schedule by row, not by block"
         );
     }
 
     #[test]
-    fn compile_stage_requires_upstream_artifacts() {
-        let mut ctx = ctx_for(KernelKind::AccSpmm);
-        assert!(CompileStage.run(&mut ctx).is_err(), "no format yet");
-        FormatBuildStage.run(&mut ctx).unwrap();
-        BalanceStage.run(&mut ctx).unwrap();
-        CompileStage.run(&mut ctx).unwrap();
-        let desc = ctx.trace.as_ref().expect("trace compiled");
-        assert_eq!(
-            desc.effective_flops,
-            2 * ctx.csr.nnz() as u64 * ctx.feature_dim as u64
-        );
+    fn trace_is_compiled_from_the_two_stage_plan() {
+        let m = uniform_random(96, 6.0, 3);
+        for kind in KernelKind::ALL {
+            let plan = ExecutionPlan::build(kind, &m, Arch::A800, 32, AccConfig::full()).unwrap();
+            assert_eq!(
+                plan.compiled_trace().effective_flops,
+                2 * m.nnz() as u64 * 32,
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]
@@ -650,7 +591,7 @@ mod tests {
         let plan = ExecutionPlan::build(KernelKind::AccSpmm, &m, Arch::A800, 64, AccConfig::full())
             .unwrap();
         let names: Vec<&str> = plan.stage_timings().iter().map(|t| t.stage).collect();
-        assert_eq!(names, ["reorder", "format_build", "balance", "compile"]);
+        assert_eq!(names, ["reorder", "format_build"]);
         assert!(plan.stage_timings().iter().all(|t| t.seconds >= 0.0));
         assert!(plan.preprocess_seconds() >= 0.0);
         assert!(plan.partition().is_some());

@@ -6,9 +6,10 @@
 //! invariance makes the old ordering merely a packing-quality choice,
 //! never a correctness one), every TILE-aligned RowWindow whose rows
 //! are untouched keeps its format spans byte-for-byte, and only the
-//! dirty windows are re-squeezed and re-converted. Balance planning and
-//! trace compilation re-run in full — they are linear scans over block
-//! counts, negligible next to reordering and format construction.
+//! dirty windows are re-squeezed and re-converted. The GPU model is not
+//! repaired: the repaired plan starts with empty model cells and
+//! derives its balance schedule and simulator trace from its own format
+//! on first use, like any fresh plan.
 //!
 //! The contract, enforced by tests: the repaired plan's execution
 //! output is **bit-identical** (NaN-position-exact) to a from-scratch
@@ -16,13 +17,12 @@
 //! kernels.
 
 use crate::acc::AccConfig;
-use crate::plan::{
-    BalanceStage, CompileStage, ExecutionPlan, FormatChoice, PlanStage, StageTiming,
-};
+use crate::plan::{ExecutionPlan, FormatChoice, PlanContext, StageTiming};
 use crate::{KernelKind, TcFormat};
 use spmm_common::{Result, SpmmError};
 use spmm_delta::DeltaCsr;
 use spmm_format::TILE;
+use spmm_matrix::CsrMatrix;
 use std::time::Instant;
 
 /// What a repair did, for observability and for the perfsuite's
@@ -87,42 +87,43 @@ impl ExecutionPlan {
         let compacted = delta.compact();
         ctx.input_fingerprint = compacted.content_fingerprint();
 
+        let tf = Instant::now();
         if ctx.spec.format == FormatChoice::Csr {
             // CSR kernels carry no permutation, partition, or format:
-            // swap the operand and recompile the trace.
-            let tc = Instant::now();
+            // swap the operand.
             ctx.csr = compacted;
-            ctx.trace = None;
-            CompileStage.run(&mut ctx)?;
-            ctx.timings = vec![
-                StageTiming {
-                    stage: "reorder",
-                    seconds: 0.0,
-                },
-                StageTiming {
-                    stage: "format_build",
-                    seconds: 0.0,
-                },
-                StageTiming {
-                    stage: "balance",
-                    seconds: 0.0,
-                },
-                StageTiming {
-                    stage: "compile",
-                    seconds: tc.elapsed().as_secs_f64(),
-                },
-            ];
-            return Ok(ExecutionPlan::from_context(ctx));
+        } else {
+            self.splice_format(&mut ctx, compacted, delta, report)?;
         }
+        ctx.timings = vec![
+            StageTiming {
+                stage: "reorder",
+                seconds: 0.0,
+            },
+            StageTiming {
+                stage: "format_build",
+                seconds: tf.elapsed().as_secs_f64(),
+            },
+        ];
+        Ok(ExecutionPlan::from_context(ctx))
+    }
 
-        // TC plan. Reapply the OLD permutation to the compacted matrix:
+    /// TC plan: reapply the old permutation and rebuild only the dirty
+    /// windows of the partition and format.
+    fn splice_format(
+        &self,
+        ctx: &mut PlanContext,
+        compacted: CsrMatrix,
+        delta: &DeltaCsr,
+        report: &mut RepairReport,
+    ) -> Result<()> {
+        // Reapply the OLD permutation to the compacted matrix:
         // reordering only affects block packing, never output bits, so
         // keeping it preserves bit-identity with a scratch build that
         // would choose a different (equally valid) ordering — the
         // comparison below is against a scratch build on the *permuted*
         // operand, and execution outputs match either way by
         // row-partition invariance.
-        let tf = Instant::now();
         let permuted = match ctx.perm.as_ref() {
             Some(p) if ctx.spec.symmetric => compacted.permute_symmetric(p)?,
             Some(p) => compacted.permute_rows(p)?,
@@ -162,35 +163,7 @@ impl ExecutionPlan {
         ctx.csr = permuted;
         ctx.partition = Some(wp_new);
         ctx.format = Some(format);
-        let format_seconds = tf.elapsed().as_secs_f64();
-
-        // Balance + compile re-run in full over the new block counts.
-        ctx.balance = None;
-        ctx.trace = None;
-        let tb = Instant::now();
-        BalanceStage.run(&mut ctx)?;
-        let balance_seconds = tb.elapsed().as_secs_f64();
-        let tc = Instant::now();
-        CompileStage.run(&mut ctx)?;
-        ctx.timings = vec![
-            StageTiming {
-                stage: "reorder",
-                seconds: 0.0,
-            },
-            StageTiming {
-                stage: "format_build",
-                seconds: format_seconds,
-            },
-            StageTiming {
-                stage: "balance",
-                seconds: balance_seconds,
-            },
-            StageTiming {
-                stage: "compile",
-                seconds: tc.elapsed().as_secs_f64(),
-            },
-        ];
-        Ok(ExecutionPlan::from_context(ctx))
+        Ok(())
     }
 }
 

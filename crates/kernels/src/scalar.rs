@@ -37,8 +37,6 @@ fn desc(tbs: Vec<TbTrace>, mem_efficiency: f64, feature_dim: usize, nnz: usize) 
         feature_dim,
         effective_flops: 2 * nnz as u64 * feature_dim as u64,
         arch_boost: 1.0,
-        // Placeholder; the plan compile stage stamps the resolved tier.
-        isa_tier: spmm_common::IsaTier::Scalar,
     }
 }
 

@@ -167,7 +167,6 @@ pub fn tcgnn_trace(f: &Tcf, plan: &BalancePlan, feature_dim: usize) -> KernelDes
         feature_dim,
         effective_flops: 2 * f.nnz() as u64 * feature_dim as u64,
         arch_boost: 1.0,
-        isa_tier: spmm_common::IsaTier::Scalar,
     }
 }
 
@@ -183,7 +182,6 @@ pub fn dtc_trace(f: &MeTcf, plan: &BalancePlan, feature_dim: usize) -> KernelDes
         feature_dim,
         effective_flops: 2 * f.nnz() as u64 * feature_dim as u64,
         arch_boost: 1.0,
-        isa_tier: spmm_common::IsaTier::Scalar,
     }
 }
 
@@ -220,8 +218,6 @@ pub fn acc_trace(
         feature_dim,
         effective_flops: 2 * nnz as u64 * feature_dim as u64,
         arch_boost: 1.0,
-        // Placeholder; the plan compile stage stamps the resolved tier.
-        isa_tier: spmm_common::IsaTier::Scalar,
     }
 }
 

@@ -209,23 +209,22 @@ fn foreign_isa_tier_rebinds_to_the_host_probe_at_load() {
     let plan = build_plan(KernelKind::AccSpmm, &m, 16);
     let host = IsaTier::probe();
     assert_eq!(plan.isa_tier(), host);
-    assert_eq!(plan.compiled_trace().isa_tier, host);
 
     // Forge an artifact recorded on a "different host": stamp a tier
-    // that is not this host's probe result into the IR (the header is
-    // derived from the trace at write time, so the container stays
-    // self-consistent and parses cleanly).
+    // that is not this host's probe result into the IR's header field
+    // (the container stays self-consistent and parses cleanly).
     let mut ir = plan.to_ir();
+    assert_eq!(ir.isa_tier, host);
     let foreign = IsaTier::ALL
         .into_iter()
         .find(|t| *t != host)
         .expect("more than one tier exists");
-    ir.trace.isa_tier = foreign;
+    ir.isa_tier = foreign;
     let bytes = ir.to_bytes().unwrap();
 
     let parsed = PlanIr::read_from(std::io::Cursor::new(&bytes)).unwrap();
     assert_eq!(
-        parsed.trace.isa_tier, foreign,
+        parsed.isa_tier, foreign,
         "the recorded tier survives structural parsing untouched"
     );
 
@@ -235,7 +234,7 @@ fn foreign_isa_tier_rebinds_to_the_host_probe_at_load() {
         .read(std::io::Cursor::new(&bytes))
         .unwrap();
     assert_eq!(loaded.isa_tier(), host);
-    assert_eq!(loaded.compiled_trace().isa_tier, host);
+    assert_eq!(loaded.to_ir().isa_tier, host);
 
     // And the re-bound plan executes bit-identically to the original
     // (every tier computes the same bits, so a re-bind is invisible).
@@ -264,4 +263,85 @@ fn pinned_unavailable_isa_tier_is_a_build_error() {
         matches!(err, SpmmError::InvalidConfig(_)),
         "expected InvalidConfig, got {err:?}"
     );
+}
+
+/// The GPU model (balance schedule, simulator trace) is derived on
+/// first use. A plan, a clone taken before that first use, and its IR
+/// round trip must all derive the same model.
+#[test]
+fn lazily_derived_model_is_the_same_model_for_every_kernel() {
+    let m = gen::uniform_random(128, 6.0, 21);
+    let opts = spmm_sim::SimOptions::default();
+    for kind in KernelKind::ALL {
+        let plan = build_plan(kind, &m, 16);
+        let early_clone = plan.clone();
+        let bytes = plan.to_ir().to_bytes().unwrap();
+        let loaded = PlanLoader::new()
+            .read(std::io::Cursor::new(&bytes))
+            .unwrap();
+        let trace = format!("{:?}", plan.compiled_trace());
+        let balance = format!("{:?}", plan.balance());
+        let report = format!(
+            "{:?}",
+            PreparedKernel::from_plan(plan).profile(Arch::A800, &opts)
+        );
+        for (what, other) in [("clone", early_clone), ("reload", loaded)] {
+            assert_eq!(
+                format!("{:?}", other.compiled_trace()),
+                trace,
+                "{kind:?} {what}"
+            );
+            assert_eq!(format!("{:?}", other.balance()), balance, "{kind:?} {what}");
+            let other_report = PreparedKernel::from_plan(other).profile(Arch::A800, &opts);
+            assert_eq!(format!("{other_report:?}"), report, "{kind:?} {what}");
+        }
+    }
+}
+
+/// A repaired plan models its own operand: its trace and schedule are
+/// derived from the repaired format, never carried over from the plan
+/// it was repaired from (whose model is filled before the repair).
+#[test]
+fn repaired_plans_derive_their_model_from_the_repaired_format() {
+    use spmm_delta::DeltaCsr;
+    use spmm_kernels::TcFormat;
+    let m = gen::uniform_random(256, 8.0, 5);
+    let dim = 16;
+    for kind in KernelKind::ALL {
+        let plan = build_plan(kind, &m, dim);
+        plan.compiled_trace();
+        plan.balance();
+        // ~1% of the edges: fresh inserts, so nnz changes.
+        let mut delta = DeltaCsr::new(m.clone());
+        for i in 0..(m.nnz() / 100).max(1) as u64 {
+            let r = spmm_common::util::splitmix64(i) % 256;
+            let c = spmm_common::util::splitmix64(i + 1_000) % 256;
+            delta.upsert(r as u32, c as u32, 0.5).unwrap();
+        }
+        let compacted = delta.compact();
+        assert_ne!(compacted.nnz(), m.nnz());
+        let (repaired, _) = plan.repair(&delta).unwrap();
+        assert_eq!(
+            repaired.compiled_trace().effective_flops,
+            2 * compacted.nnz() as u64 * dim as u64,
+            "{kind:?}"
+        );
+        let blocks = match repaired.format() {
+            None => {
+                assert!(repaired.balance().is_none(), "{kind:?}");
+                continue;
+            }
+            Some(TcFormat::Tcf(f)) => f.num_tc_blocks(),
+            Some(TcFormat::MeTcf(f)) => f.num_tc_blocks(),
+            Some(TcFormat::BitTcf(f)) => f.num_tc_blocks(),
+        };
+        let scheduled: usize = repaired
+            .balance()
+            .expect("TC plans have a schedule")
+            .tbs
+            .iter()
+            .map(|tb| tb.num_blocks())
+            .sum();
+        assert_eq!(scheduled, blocks, "{kind:?}");
+    }
 }

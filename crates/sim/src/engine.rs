@@ -168,8 +168,8 @@ pub fn simulate(arch: &GpuArch, desc: &KernelDesc, opts: &SimOptions) -> KernelR
 }
 
 /// Profile a compiled kernel trace on a named architecture — the entry
-/// point the execution-plan pipeline uses once its Compile stage has
-/// produced the [`KernelDesc`] (resolving the [`crate::Arch`] spec here
+/// point an execution plan uses once it has compiled its
+/// [`KernelDesc`] (resolving the [`crate::Arch`] spec here
 /// keeps plan holders free of `GpuArch` plumbing).
 pub fn profile(arch: crate::Arch, desc: &KernelDesc, opts: &SimOptions) -> KernelReport {
     simulate(&arch.spec(), desc, opts)
@@ -378,7 +378,6 @@ mod tests {
             feature_dim: n,
             effective_flops: eff,
             arch_boost: 1.0,
-            isa_tier: spmm_common::IsaTier::Scalar,
         }
     }
 
@@ -471,7 +470,6 @@ mod tests {
             feature_dim: 128,
             effective_flops: 0,
             arch_boost: 1.0,
-            isa_tier: spmm_common::IsaTier::Scalar,
         };
         let r = simulate(&A800, &desc, &SimOptions::default());
         assert!((r.time_s - 3e-6).abs() < 1e-12);

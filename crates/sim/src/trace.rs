@@ -90,11 +90,6 @@ pub struct KernelDesc {
     /// Extra per-kernel throughput multiplier for the baseline library
     /// model (cuSPARSE's architecture-specific tuning; 1.0 otherwise).
     pub arch_boost: f64,
-    /// The host ISA tier the plan's CPU compute core was bound to at
-    /// compile time ([`spmm_common::IsaTier`]). Advisory metadata for
-    /// the simulator (the modeled GPU doesn't consume it); recorded so
-    /// plan artifacts and trace dumps name the tier that produced them.
-    pub isa_tier: spmm_common::IsaTier,
 }
 
 impl KernelDesc {
@@ -158,7 +153,6 @@ mod tests {
             feature_dim: 128,
             effective_flops: 120,
             arch_boost: 1.0,
-            isa_tier: spmm_common::IsaTier::Scalar,
         };
         assert_eq!(desc.executed_flops(), 150);
         assert_eq!(desc.num_blocks(), 2);

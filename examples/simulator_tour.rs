@@ -44,7 +44,6 @@ fn synthetic_kernel(tbs: usize, blocks: usize, reuse_window: u32, n: usize) -> K
         feature_dim: n,
         effective_flops: effective,
         arch_boost: 1.0,
-        isa_tier: spmm_common::IsaTier::Scalar,
     }
 }
 
